@@ -606,11 +606,23 @@ let generator_bench ~jobs ~reps ~gen_n ~seed ~out () =
    per-kernel result fingerprints (final registers + memory) alongside
    cycle and dispatch statistics.  Results are deterministic; wall time
    is the best of [reps] passes. *)
+(* A kernel run whose thread trapped — an exhausted block budget
+   included — has no result to compare: stop the bench. *)
+let run_kernel config spec =
+  let g, eng = Harness.Kernel.run_dbt config spec in
+  (match Core.Engine.trap g with
+  | Some f ->
+      Format.eprintf "%s under %s trapped: %s@." spec.Harness.Kernel.name
+        config.Core.Config.name (Core.Fault.to_string f);
+      exit 2
+  | None -> ());
+  (g, eng)
+
 let dispatch_pass config =
   List.map
     (fun b ->
       let spec = b.Harness.Parsec.spec in
-      let g, eng = Harness.Kernel.run_dbt config spec in
+      let g, eng = run_kernel config spec in
       let stats = Core.Engine.stats eng in
       ( spec.Harness.Kernel.name,
         (* Guest-visible state only: registers RAX..R15 (indices 0-15;
@@ -1227,7 +1239,7 @@ let run_cache_campaign ~tmp =
     | Error _ -> false
   in
   let g = Core.Engine.run eng2 in
-  let rerun_ok = Core.Engine.reg g R.R13 = 77L in
+  let rerun_ok = Core.Engine.trap g = None && Core.Engine.reg g R.R13 = 77L in
   (save_blocked, verify_ok, quarantine_ok, rerun_ok)
 
 (* Postmortem campaign: an injected decode fault under the always-on
@@ -1404,7 +1416,7 @@ let tiers_pass config =
   List.map
     (fun b ->
       let spec = b.Harness.Parsec.spec in
-      let g, eng = Harness.Kernel.run_dbt config spec in
+      let g, eng = run_kernel config spec in
       Core.Engine.drain_installs eng;
       ( spec.Harness.Kernel.name,
         Array.sub g.Core.Engine.arm.Arm.Machine.regs 0 16,

@@ -60,6 +60,15 @@ type stats = {
    because the backend could not compile it (or has not yet — tier 0). *)
 type compiled = Native of Arm.Insn.t array | Interp_only of Tcg.Block.t
 
+(* What the code cache holds: native code with its helper calls bound
+   once, on the execution thread, when the block is installed — or a TCG
+   block for the interpreter. *)
+type tb = Run_native of Arm.Machine.prepared | Run_interp of Tcg.Block.t
+
+let compiled_of = function
+  | Run_native p -> Native (Arm.Machine.code p)
+  | Run_interp b -> Interp_only b
+
 (* A finished compile request travelling back from the background
    domain to the execution thread.  [i_gen] is the chain generation the
    request was made under: a reset or cache reload in between bumps the
@@ -82,7 +91,7 @@ type t = {
   frontend : Frontend.t;
   mem : Memsys.Mem.t;
   shared : Arm.Machine.shared;
-  tbs : compiled Tbchain.t;
+  tbs : tb Tbchain.t;
       (* the code cache: every translated block (native or degraded),
          plus chain edges and hot-trace state *)
   tcg_cache : (int64, Tcg.Block.t) Hashtbl.t;
@@ -117,8 +126,8 @@ and guest_thread = {
   mutable pc : int64;
   mutable finished : bool;
   mutable trap : Fault.t option;
-  jcache : compiled Tbchain.jcache;
-  mutable next_tb : compiled Tbchain.node option;
+  jcache : tb Tbchain.jcache;
+  mutable next_tb : tb Tbchain.node option;
       (* chained target patched in by the previous block's exit *)
   mutable next_gen : int;  (* chain-table generation [next_tb] is valid for *)
   gflight : Obs.Flight.t;  (* this thread's flight ring (single writer) *)
@@ -216,6 +225,10 @@ let create ?cost ?idl ?install_service config image =
   in
   t
 
+(* Every native block enters the code cache through here, on the
+   execution thread: its helper calls are bound once, now. *)
+let install_native t code = Run_native (Arm.Machine.prepare t.shared code)
+
 let config t = t.config
 let memory t = t.mem
 let stats t = t.stats
@@ -288,7 +301,7 @@ let translate t pc =
     (* Tier 0: the block starts life on the TCG interpreter (state
        [Cold], fresh profile) and the backend compile is deferred until
        its execution count crosses the threshold. *)
-    Tbchain.insert t.tbs pc (Interp_only optimized)
+    Tbchain.insert t.tbs pc (Run_interp optimized)
   else begin
     let compiled =
       if Inject.fire t.inject Inject.Compile then
@@ -314,7 +327,7 @@ let translate t pc =
             + Array.fold_left
                 (fun n i -> match i with Arm.Insn.Dmb _ -> n + 1 | _ -> n)
                 0 code;
-          Native code
+          install_native t code
       | Error f ->
           (* Degraded mode: the block stays on the TCG interpreter.  The
              run keeps its semantics (the interpreter and backend agree by
@@ -324,13 +337,13 @@ let translate t pc =
                 (Fault.to_string f));
           t.stats.interp_fallbacks <- t.stats.interp_fallbacks + 1;
           Obs.Metrics.incr (Lazy.force m_fallbacks);
-          Interp_only optimized
+          Run_interp optimized
     in
     let n = Tbchain.insert t.tbs pc body in
     n.Tbchain.tier.Tier.state <-
       (match body with
-      | Native _ -> Tier.Published
-      | Interp_only _ -> Tier.Degraded);
+      | Run_native _ -> Tier.Published
+      | Run_interp _ -> Tier.Degraded);
     n
   end
 
@@ -373,7 +386,7 @@ let apply_install t inst =
     | Some node when node.Tbchain.tier.Tier.state = Tier.Queued -> (
         match inst.i_result with
         | Ok code ->
-            node.Tbchain.body <- Native code;
+            node.Tbchain.body <- install_native t code;
             (* A superblock can only exist over a Native body, so with
                state Queued the active translation is the body. *)
             node.Tbchain.active <- node.Tbchain.body;
@@ -424,8 +437,8 @@ let apply_completions t =
 
 let request_compile t node =
   match node.Tbchain.body with
-  | Native _ -> ()
-  | Interp_only tcg ->
+  | Run_native _ -> ()
+  | Run_interp tcg ->
       let p = node.Tbchain.tier in
       p.Tier.state <- Tier.Queued;
       Obs.Metrics.incr (Lazy.force Tier.m_requests);
@@ -484,8 +497,8 @@ let fetch t pc =
   match Tbchain.find t.tbs pc with
   | Some n ->
       t.stats.cache_hits <- t.stats.cache_hits + 1;
-      n.Tbchain.body
-  | None -> (translate t pc).Tbchain.body
+      compiled_of n.Tbchain.body
+  | None -> compiled_of (translate t pc).Tbchain.body
 
 let lookup_block t pc =
   match fetch t pc with
@@ -732,7 +745,7 @@ let dump_postmortem t ~reason =
         Log.err (fun m -> m "postmortem write failed: %s" msg))
 
 (* Record a fault against one guest thread; only that thread stops. *)
-let fault_thread t g f =
+let record_fault t g f =
   let f = Fault.locate ~pc:g.pc ~tid:g.arm.Arm.Machine.tid f in
   t.stats.traps <- t.stats.traps + 1;
   Obs.Metrics.incr (Lazy.force m_traps);
@@ -744,14 +757,21 @@ let fault_thread t g f =
   Obs.Flight.record g.gflight Obs.Flight.Trap g.pc 0;
   g.trap <- Some f;
   g.finished <- true;
+  f
+
+let fault_thread t g f =
+  let f = record_fault t g f in
   dump_postmortem t ~reason:("trap: " ^ Fault.to_string f)
 
 (* Degraded execution: run the TCG block in the interpreter against
-   this thread's pinned state.  Globals 0–15 mirror the guest GP
-   registers and cmp_a/cmp_b the lazy flags, so they are copied in and
-   out around the block; helpers dispatch through the machine's
-   registry (so syscalls, RMW helpers and host calls behave exactly as
-   in native execution). *)
+   this thread's pinned state.  Native code keeps every TCG global in
+   the host register of the same number (X0–X15 the guest GP registers,
+   X16/X17 the lazy flags cmp_a/cmp_b, see [Backend.allocate_temps]),
+   so all of them are copied in and out around the block: a block may
+   end between a compare and its branch, and the next block — native or
+   interpreted — must see the same flags.  Helpers dispatch through the
+   machine's registry (so syscalls, RMW helpers and host calls behave
+   exactly as in native execution). *)
 let step_interp t g b =
   let arm = g.arm in
   let helpers name args =
@@ -760,32 +780,24 @@ let step_interp t g b =
     | None -> raise (Tcg.Interp.No_helper name)
   in
   let env = Tcg.Interp.create_env ~helpers t.mem in
-  for r = 0 to 15 do
-    env.Tcg.Interp.temps.(Tcg.Op.guest_reg r) <- arm.Arm.Machine.regs.(r)
-  done;
-  let ca, cb = arm.Arm.Machine.cmp in
-  env.Tcg.Interp.temps.(Tcg.Op.cmp_a) <- ca;
-  env.Tcg.Interp.temps.(Tcg.Op.cmp_b) <- cb;
+  let temps = env.Tcg.Interp.temps and regs = arm.Arm.Machine.regs in
+  Array.blit regs 0 temps 0 Tcg.Op.nb_globals;
   let res = Tcg.Interp.exec_block env b in
-  for r = 0 to 15 do
-    arm.Arm.Machine.regs.(r) <- env.Tcg.Interp.temps.(Tcg.Op.guest_reg r)
-  done;
-  arm.Arm.Machine.cmp <-
-    (env.Tcg.Interp.temps.(Tcg.Op.cmp_a), env.Tcg.Interp.temps.(Tcg.Op.cmp_b));
+  Array.blit temps 0 regs 0 Tcg.Op.nb_globals;
   res
 
 let exec t g = function
-  | Native code -> (
+  | Run_native p -> (
       Log.debug (fun m ->
           m "T%d exec tb@0x%Lx (%d host insns)" g.arm.Arm.Machine.tid g.pc
-            (Array.length code));
-      match Arm.Machine.exec_block t.shared g.arm code with
+            (Array.length (Arm.Machine.code p)));
+      match Arm.Machine.exec_prepared t.shared g.arm p with
       | Arm.Machine.Next_tb pc -> `Next pc
       | Arm.Machine.Jump pc -> `Jump pc
       | Arm.Machine.Halted -> `Halt
       | Arm.Machine.Trapped tr -> `Trap (fault_of_machine_trap g.pc tr)
       | exception Fault.Fault f -> `Trap f)
-  | Interp_only b -> (
+  | Run_interp b -> (
       Log.debug (fun m ->
           m "T%d interp tb@0x%Lx (%d tcg ops)" g.arm.Arm.Machine.tid g.pc
             (Tcg.Block.op_count b));
@@ -877,11 +889,11 @@ let form_superblock t head =
   let path = profile_path t head ~limit:trace_limit in
   let tcg_of n =
     match n.Tbchain.body with
-    | Native _ -> (
+    | Run_native _ -> (
         match Hashtbl.find_opt t.tcg_cache n.Tbchain.pc with
         | Some b -> `Tcg b
         | None -> `Failed (* loaded from cache: no TCG to stitch *))
-    | Interp_only _ ->
+    | Run_interp _ ->
         if n.Tbchain.tier.Tier.state = Tier.Degraded then `Failed
         else `Not_ready
   in
@@ -917,7 +929,7 @@ let form_superblock t head =
               | Some (pc, _) -> pc
               | None -> -1L
             in
-            `Installed (Native code, List.length blocks, expected_exit)
+            `Installed (install_native t code, List.length blocks, expected_exit)
         | exception Fault.Fault _ -> `Failed
         | exception Backend.Register_pressure _ -> `Failed)
 
@@ -929,7 +941,7 @@ let maybe_superblock t node =
     && node.Tbchain.exec_count >= threshold
     && node.Tbchain.super_len = 0
     && (not node.Tbchain.no_super)
-    && (match node.Tbchain.body with Native _ -> true | Interp_only _ -> false)
+    && (match node.Tbchain.body with Run_native _ -> true | Run_interp _ -> false)
     && Option.is_some (Tier.dominant node.Tbchain.tier)
   then
     match
@@ -986,11 +998,11 @@ let step_block t g =
             && node.Tbchain.exec_count >= t.config.Config.jit_threshold
           then request_compile t node;
           (match node.Tbchain.active with
-          | Interp_only _ ->
+          | Run_interp _ ->
               Obs.Flight.record g.gflight Obs.Flight.Block_enter g.pc 0;
               t.stats.interp_execs <- t.stats.interp_execs + 1;
               p.Tier.interp_execs <- p.Tier.interp_execs + 1
-          | Native _ ->
+          | Run_native _ ->
               Obs.Flight.record g.gflight Obs.Flight.Block_enter g.pc 1);
           maybe_superblock t node;
           if node.Tbchain.super_len > 0 then Tier.record_super_entry p;
@@ -1105,7 +1117,18 @@ let run_concurrent ?(max_blocks = 50_000_000) t threads0 =
     Exhausted { blocks = !n; live_threads = !live; threads }
   end
 
-let run_thread ?max_blocks t g = ignore (run_concurrent ?max_blocks t [ g ])
+(* An exhausted budget must never read as a halt: the thread finishes
+   with a watchdog trap.  [run_concurrent] has already written the
+   postmortem. *)
+let run_thread ?max_blocks t g =
+  match run_concurrent ?max_blocks t [ g ] with
+  | Completed _ -> ()
+  | Exhausted { blocks; _ } ->
+      if not g.finished then
+        ignore
+          (record_fault t g
+             (Fault.make Fault.Watchdog
+                (Printf.sprintf "block budget exhausted after %d blocks" blocks)))
 
 let run ?max_blocks ?regs t =
   let g = spawn t ~tid:0 ~entry:t.image.Image.Gelf.entry ?regs () in
@@ -1224,8 +1247,8 @@ let save_cache t path =
     Tbchain.fold
       (fun pc n acc ->
         match n.Tbchain.body with
-        | Native code -> (pc, code) :: acc
-        | Interp_only _ -> acc)
+        | Run_native p -> (pc, Arm.Machine.code p) :: acc
+        | Run_interp _ -> acc)
       t.tbs []
     |> List.sort compare
   in
@@ -1362,7 +1385,7 @@ let load_cache t path =
       Tbchain.clear_links t.tbs;
       Hashtbl.iter
         (fun pc code ->
-          let n = Tbchain.insert t.tbs pc (Native code) in
+          let n = Tbchain.insert t.tbs pc (install_native t code) in
           n.Tbchain.tier.Tier.state <- Tier.Published)
         staged;
       t.stats.cache_quarantined <- t.stats.cache_quarantined + quarantined;

@@ -94,15 +94,21 @@ type t
     interpreter because the backend could not compile it. *)
 type compiled = Native of Arm.Insn.t array | Interp_only of Tcg.Block.t
 
+(** A code-cache entry: a {!compiled} block in the form dispatch runs
+    it.  Native code carries its helper calls bound
+    ({!Arm.Machine.prepare}) on the execution thread when it is
+    installed, so executing a call never looks a helper up by name. *)
+type tb
+
 type guest_thread = {
   arm : Arm.Machine.thread;
   mutable pc : int64;
   mutable finished : bool;
   mutable trap : Fault.t option;
       (** set when the thread was stopped by a fault *)
-  jcache : compiled Tbchain.jcache;
+  jcache : tb Tbchain.jcache;
       (** per-thread direct-mapped TB lookup cache *)
-  mutable next_tb : compiled Tbchain.node option;
+  mutable next_tb : tb Tbchain.node option;
       (** chained target for the next dispatch, if the previous block's
           static exit was patched *)
   mutable next_gen : int;
@@ -182,7 +188,10 @@ val tcg_block : t -> int64 -> Tcg.Block.t
     they finish the thread and set its [trap] field. *)
 val step_block : t -> guest_thread -> unit
 
-(** Run a thread until it halts (or the block budget is exhausted). *)
+(** Run a thread until it halts or traps.  If the block budget
+    [max_blocks] (default 50,000,000) runs out first, the thread
+    finishes with a [Watchdog] {!trap}, so an exhausted budget is never
+    mistaken for a halt. *)
 val run_thread : ?max_blocks:int -> t -> guest_thread -> unit
 
 (** Result of {!run_concurrent}: either every thread halted (or
@@ -208,8 +217,8 @@ val threads : outcome -> guest_thread list
 val run_concurrent :
   ?max_blocks:int -> t -> guest_thread list -> outcome
 
-(** Convenience: spawn a single thread at the image entry, run it, and
-    return it. *)
+(** Convenience: spawn a single thread at the image entry, run it with
+    {!run_thread}, and return it. *)
 val run : ?max_blocks:int -> ?regs:(X86.Reg.t * int64) list -> t -> guest_thread
 
 (** Guest register value of a thread. *)

@@ -3,9 +3,9 @@ module M = Arm.Machine
 let softfloat_cycles = 38
 
 let arg n args =
-  match List.nth_opt args n with
-  | Some v -> v
-  | None ->
+  match List.nth args n with
+  | v -> v
+  | exception Failure _ ->
       Fault.raise_ Fault.Helper_fault
         (Printf.sprintf "missing helper argument %d" n)
 

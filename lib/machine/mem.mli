@@ -1,7 +1,11 @@
 (** Shared word-addressable memory for the guest/host machines.
 
     Addresses are byte addresses; accesses are 64-bit words on 8-byte
-    aligned addresses (the subset ISAs only generate aligned accesses).
+    aligned addresses (the subset ISAs only generate aligned accesses;
+    a word access ignores the low three address bits).  Storage is
+    4 KiB pages allocated on first store, so a word access costs a page
+    lookup (one comparison when it hits the last page touched) and a
+    little-endian read or write of the page's bytes.
     Also tracks per-cache-line ownership, used by the CAS contention
     cost model (paper §7.4): an atomic by a thread that does not own the
     line pays a transfer penalty. *)
@@ -31,5 +35,7 @@ val sharers : t -> int64 -> int
 
 val clear : t -> unit
 
-(** Snapshot of all (addr, value) pairs, sorted — for tests. *)
+(** Snapshot of every word ever stored (by {!store} or {!store_byte},
+    zero values included) as (addr, value) pairs sorted by signed
+    address — for tests and result checks. *)
 val dump : t -> (int64 * int64) list

@@ -184,7 +184,8 @@ let test_exit_code_via_syscall () =
   in
   let g, _ = run_config Core.Config.risotto (build items) in
   check_i64 "exit code" 17L g.Core.Engine.arm.Arm.Machine.exit_code;
-  check_bool "finished" true g.Core.Engine.finished
+  check_bool "halted, no trap" true
+    (g.Core.Engine.finished && g.Core.Engine.trap = None)
 
 let test_write_syscall_output () =
   let items =

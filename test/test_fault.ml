@@ -196,6 +196,38 @@ let test_no_idl_signature_still_falls_back () =
     (abs_float (Int64.float_of_bits (Core.Engine.reg g R.R13) -. sqrt 2.0)
     < 1e-6)
 
+(* Interpreter <-> native handover of the lazy flags.  The 33-insn loop
+   body splits at the frontend's 32-insn block limit between the [cmp]
+   and its [jne], so the flags cross a block boundary in the TCG
+   globals cmp_a/cmp_b.  The third compile fails, which leaves one of
+   the loop's blocks on the interpreter: each iteration hands the flags
+   between interpreted and native code.  Reading stale flags there
+   missed the loop exit (rcx = 15000, r15 = -490 after 1,000 blocks). *)
+let test_flag_handover () =
+  let body = List.init 30 (fun _ -> Ins (I.Alu (I.Add, R.RCX, I.I 1L))) in
+  let image =
+    build
+      ([ Label "main"; Ins (I.Mov_ri (R.R15, 10L)); Label "loop" ]
+      @ body
+      @ [
+          Ins (I.Alu (I.Sub, R.R15, I.I 1L));
+          Ins (I.Cmp (R.R15, I.I 0L));
+          Jcc_lbl (I.Ne, "loop");
+          Ins I.Hlt;
+        ])
+  in
+  let cfg =
+    { Core.Config.risotto with inject = [ Inj.Nth (Inj.Compile, 3) ] }
+  in
+  let eng = Core.Engine.create cfg image in
+  let g = Core.Engine.run ~max_blocks:1000 eng in
+  check_bool "fallback observed" true
+    ((Core.Engine.stats eng).Core.Engine.interp_fallbacks > 0);
+  check_bool "halted, no trap" true
+    (g.Core.Engine.finished && g.Core.Engine.trap = None);
+  check_i64 "rcx" 300L (Core.Engine.reg g R.RCX);
+  check_i64 "r15" 0L (Core.Engine.reg g R.R15)
+
 (* ------------------------------------------------------------------ *)
 (* Watchdog                                                            *)
 
@@ -210,6 +242,16 @@ let test_watchdog_exhausted () =
       check_int "threads reported" 1 (List.length threads);
       check_bool "thread not finished" true (not g.Core.Engine.finished)
   | Core.Engine.Completed _ -> Alcotest.fail "spin loop cannot complete"
+
+(* [run] never reads an exhausted budget as a halt. *)
+let test_run_exhausted_traps () =
+  let image = build [ Label "main"; Jmp_lbl "main" ] in
+  let eng = Core.Engine.create Core.Config.risotto image in
+  let g = Core.Engine.run ~max_blocks:10 eng in
+  check_bool "thread finished" true g.Core.Engine.finished;
+  match Core.Engine.trap g with
+  | Some f -> check_bool "watchdog trap" true (f.F.kind = F.Watchdog)
+  | None -> Alcotest.fail "exhausted budget read as a halt"
 
 (* ------------------------------------------------------------------ *)
 (* Persistent-cache robustness                                         *)
@@ -315,6 +357,8 @@ let () =
             test_decode_fault_isolated;
           Alcotest.test_case "watchdog reports exhaustion" `Quick
             test_watchdog_exhausted;
+          Alcotest.test_case "run traps on an exhausted budget" `Quick
+            test_run_exhausted_traps;
         ] );
       ( "degraded modes",
         [
@@ -322,6 +366,8 @@ let () =
             test_interp_fallback_correct;
           Alcotest.test_case "host-call injection traps" `Quick
             test_host_call_injection;
+          Alcotest.test_case "flag handover interp<->native (Nth compile 3)"
+            `Quick test_flag_handover;
         ] );
       ( "link traps",
         [

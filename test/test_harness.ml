@@ -18,7 +18,8 @@ let small_spec ?(loads = 6) ?(stores = 2) ?(arith = 8) ?(fp = 0) ?(locks = 0) ()
 let test_kernel_dbt_terminates_and_counts () =
   let spec = small_spec () in
   let g, eng = Harness.Kernel.run_dbt Core.Config.qemu spec in
-  check_bool "finished" true g.Core.Engine.finished;
+  check_bool "halted, no trap" true
+    (g.Core.Engine.finished && g.Core.Engine.trap = None);
   check_bool "cycles counted" true (Core.Engine.cycles g > 0);
   check_bool "fences executed" true (g.Core.Engine.arm.Arm.Machine.fences > 0);
   ignore eng
@@ -206,6 +207,66 @@ let test_fig15_shape () =
         (r.Harness.Casbench.native >= 0.95 *. r.Harness.Casbench.risotto))
     [ r11; r41; r44 ]
 
+(* ------------------------------------------------------------------ *)
+(* Execution-core parity: model counts of every kernel, pinned         *)
+
+(* (config, kernel, cycles, host insns, fences, helper calls) for each
+   Parsec/Phoenix kernel at 200 iterations, as the word-table memory and
+   the per-call helper lookup produced them.  A change to how blocks or
+   memory execute must leave every figure unchanged; a change to the
+   fence mapping, lowering or cost model moves them on purpose. *)
+let golden =
+  [
+    ("qemu", "blackscholes", 145206, 6407, 1000, 2000);
+    ("qemu", "bodytrack", 82806, 7207, 1600, 800);
+    ("qemu", "canneal", 60006, 8207, 2600, 200);
+    ("qemu", "facesim", 135931, 7996, 1800, 1600);
+    ("qemu", "fluidanimate", 112797, 8598, 2400, 1400);
+    ("qemu", "freqmine", 61206, 8807, 3200, 0);
+    ("qemu", "streamcluster", 121475, 8792, 2400, 1200);
+    ("qemu", "swaptions", 124806, 6807, 1200, 1600);
+    ("qemu", "vips", 66326, 7991, 2000, 400);
+    ("qemu", "histogram", 39606, 6407, 2000, 0);
+    ("qemu", "kmeans", 89900, 7991, 2000, 800);
+    ("qemu", "linearregression", 28806, 5607, 1400, 0);
+    ("qemu", "matrixmultiply", 110006, 7207, 1800, 1200);
+    ("qemu", "pca", 114302, 7993, 2000, 1200);
+    ("qemu", "stringmatch", 43606, 7607, 2200, 0);
+    ("qemu", "wordcount", 44006, 7207, 2200, 0);
+    ("risotto", "blackscholes", 142406, 6207, 800, 2000);
+    ("risotto", "bodytrack", 77806, 7007, 1400, 800);
+    ("risotto", "canneal", 48006, 8007, 2400, 0);
+    ("risotto", "facesim", 128725, 7792, 1596, 1600);
+    ("risotto", "fluidanimate", 95797, 7198, 1000, 1200);
+    ("risotto", "freqmine", 56206, 8607, 3000, 0);
+    ("risotto", "streamcluster", 116453, 8584, 2192, 1200);
+    ("risotto", "swaptions", 119806, 6607, 1000, 1600);
+    ("risotto", "vips", 56920, 7787, 1796, 400);
+    ("risotto", "histogram", 34606, 6207, 1800, 0);
+    ("risotto", "kmeans", 84886, 7785, 1794, 800);
+    ("risotto", "linearregression", 26006, 5407, 1200, 0);
+    ("risotto", "matrixmultiply", 107206, 7007, 1600, 1200);
+    ("risotto", "pca", 109288, 7787, 1794, 1200);
+    ("risotto", "stringmatch", 40806, 7407, 2000, 0);
+    ("risotto", "wordcount", 36806, 7007, 2000, 0)
+  ]
+
+let test_model_counts_pinned () =
+  let configs = [ ("qemu", Core.Config.qemu); ("risotto", Core.Config.risotto) ] in
+  List.iter
+    (fun (cname, kname, cycles, insns, fences, helper_calls) ->
+      let b = Harness.Parsec.find kname in
+      let spec = { b.Harness.Parsec.spec with Harness.Kernel.iters = 200 } in
+      let g, _ = Harness.Kernel.run_dbt (List.assoc cname configs) spec in
+      let a = g.Core.Engine.arm in
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s/%s cycles, insns, fences, helper calls" cname kname)
+        [ cycles; insns; fences; helper_calls ]
+        Arm.Machine.[ a.cycles; a.insns; a.fences; a.helper_calls ])
+    golden;
+  check_bool "every kernel under both configs" true
+    (List.length golden = 2 * List.length Harness.Parsec.all)
+
 let () =
   Alcotest.run "harness"
     [
@@ -215,6 +276,8 @@ let () =
           Alcotest.test_case "native baseline" `Quick test_kernel_native_cheaper;
           Alcotest.test_case "atomic counter" `Quick test_kernel_locks_update_memory;
           Alcotest.test_case "worker team" `Quick test_kernel_worker_team;
+          Alcotest.test_case "model counts pinned (16 kernels x qemu/risotto)"
+            `Quick test_model_counts_pinned;
         ] );
       ( "figure 12",
         [
