@@ -602,10 +602,6 @@ let generator_bench ~jobs ~reps ~gen_n ~seed ~out () =
 (* ------------------------------------------------------------------ *)
 (* Dispatch bench: chained vs unchained vs interp → BENCH_dispatch.json *)
 
-(* One pass over the PARSEC/Phoenix kernels under a config, recording
-   per-kernel result fingerprints (final registers + memory) alongside
-   cycle and dispatch statistics.  Results are deterministic; wall time
-   is the best of [reps] passes. *)
 (* A kernel run whose thread trapped — an exhausted block budget
    included — has no result to compare: stop the bench. *)
 let run_kernel config spec =
@@ -618,12 +614,18 @@ let run_kernel config spec =
   | None -> ());
   (g, eng)
 
-let dispatch_pass config =
+(* One pass over the PARSEC/Phoenix kernels under [config], recording
+   per-kernel result fingerprints (final registers + memory) alongside
+   cycles and engine statistics.  [drain_installs] settles any
+   background compiles before the stats are read (and quiesces the
+   shared service so the next kernel starts clean); it does nothing for
+   synchronous configs. *)
+let kernel_pass config =
   List.map
     (fun b ->
       let spec = b.Harness.Parsec.spec in
       let g, eng = run_kernel config spec in
-      let stats = Core.Engine.stats eng in
+      Core.Engine.drain_installs eng;
       ( spec.Harness.Kernel.name,
         (* Guest-visible state only: registers RAX..R15 (indices 0-15;
            higher indices are host scratch registers, which legitimately
@@ -631,8 +633,21 @@ let dispatch_pass config =
         Array.sub g.Core.Engine.arm.Arm.Machine.regs 0 16,
         Memsys.Mem.dump (Core.Engine.memory eng),
         Core.Engine.cycles g,
-        stats ))
+        Core.Engine.stats eng ))
     Harness.Parsec.all
+
+(* Best wall time of [reps] runs of [f], with the last run's result. *)
+let best_of ~reps f =
+  let best = ref infinity in
+  let result = ref None in
+  for _ = 1 to reps do
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    let dt = Unix.gettimeofday () -. t0 in
+    result := Some r;
+    if dt < !best then best := dt
+  done;
+  (!best, Option.get !result)
 
 let dispatch_bench ~reps ~out () =
   section
@@ -654,18 +669,7 @@ let dispatch_bench ~reps ~out () =
       inject = [ Core.Inject.Always Core.Inject.Compile ];
     }
   in
-  let time config =
-    let best = ref infinity in
-    let results = ref [] in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      let r = dispatch_pass config in
-      let dt = Unix.gettimeofday () -. t0 in
-      results := r;
-      if dt < !best then best := dt
-    done;
-    (!best, !results)
-  in
+  let time config = best_of ~reps (fun () -> kernel_pass config) in
   let chained_s, chained_r = time chained in
   let unchained_s, unchained_r = time unchained in
   let interp_s, interp_r = time interp in
@@ -812,18 +816,7 @@ let obs_bench ~reps ~out ~trace_out () =
   let config =
     { Core.Config.risotto with Core.Config.trace_threshold = 16 }
   in
-  let time_pass () =
-    let best = ref infinity in
-    let results = ref [] in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      let r = dispatch_pass config in
-      let dt = Unix.gettimeofday () -. t0 in
-      results := r;
-      if dt < !best then best := dt
-    done;
-    (!best, !results)
-  in
+  let time_pass () = best_of ~reps (fun () -> kernel_pass config) in
   (* The flight recorder is always-on: the "off" baseline below runs
      with it recording, exactly as production does.  The extra
      recorder-off pass pins down differential parity and the
@@ -1408,23 +1401,6 @@ let chaos_bench ~plans ~seed ~out () =
 (* ------------------------------------------------------------------ *)
 (* Tier bench: tier0-only vs sync-all vs tiered-async → BENCH_tiers.json *)
 
-(* One pass over the PARSEC/Phoenix kernels under a tier configuration.
-   [drain_installs] after each kernel settles any background compiles
-   before the stats are read (and quiesces the shared service so the
-   next kernel starts clean). *)
-let tiers_pass config =
-  List.map
-    (fun b ->
-      let spec = b.Harness.Parsec.spec in
-      let g, eng = run_kernel config spec in
-      Core.Engine.drain_installs eng;
-      ( spec.Harness.Kernel.name,
-        Array.sub g.Core.Engine.arm.Arm.Machine.regs 0 16,
-        Memsys.Mem.dump (Core.Engine.memory eng),
-        Core.Engine.cycles g,
-        Core.Engine.stats eng ))
-    Harness.Parsec.all
-
 (* Cold-start image: a long straight-line program the frontend splits
    into ~[n] distinct blocks, each executed exactly once — the
    translation-dominated regime the tier ladder is built for.  A
@@ -1481,18 +1457,7 @@ let tiers_bench ~reps ~out () =
       sync_compile = false;
     }
   in
-  let time config =
-    let best = ref infinity in
-    let results = ref [] in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      let r = tiers_pass config in
-      let dt = Unix.gettimeofday () -. t0 in
-      results := r;
-      if dt < !best then best := dt
-    done;
-    (!best, !results)
-  in
+  let time config = best_of ~reps (fun () -> kernel_pass config) in
   let tier0_s, tier0_r = time tier0 in
   let sync_s, sync_r = time sync_all in
   let tiered_s, tiered_r = time tiered in
@@ -1555,14 +1520,7 @@ let tiers_bench ~reps ~out () =
   in
   let cold_time config =
     cold_run config;
-    let best = ref infinity in
-    for _ = 1 to max 3 reps do
-      let t0 = Unix.gettimeofday () in
-      cold_run config;
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
+    fst (best_of ~reps:(max 3 reps) (fun () -> cold_run config))
   in
   let cold_sync_s = cold_time sync_all in
   let cold_tiered_s = cold_time tiered in

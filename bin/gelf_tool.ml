@@ -62,7 +62,7 @@ let dis path =
   0
 
 let run path config_name trace_out debug metrics inject no_chain
-    trace_threshold tier2_threshold jit_threshold sync_compile report
+    trace_threshold jit_threshold sync_compile report
     postmortem =
   if debug then begin
     Logs.set_reporter (Logs.format_reporter ());
@@ -87,10 +87,7 @@ let run path config_name trace_out debug metrics inject no_chain
               config with
               Core.Config.inject = plan;
               chain = config.Core.Config.chain && not no_chain;
-              (* --tier2-threshold is the tier-ladder name for the
-                 superblock knob; --trace-threshold is kept as the
-                 pre-tiered spelling. *)
-              trace_threshold = max trace_threshold tier2_threshold;
+              trace_threshold;
               jit_threshold;
               (* Tiered runs from the CLI compile in the background by
                  default; --sync-compile is the determinism escape
@@ -334,22 +331,14 @@ let no_chain_arg =
 let trace_threshold_arg =
   Arg.(
     value & opt int 0
-    & info [ "trace-threshold" ] ~docv:"N"
+    & info [ "trace-threshold"; "tier2-threshold" ] ~docv:"N"
         ~doc:
-          "Stitch hot traces into superblocks once a block has executed \
-           $(docv) times, re-running the optimizer pipeline across the \
-           former block boundaries.  0 (default) disables superblock \
-           formation.")
-
-let tier2_threshold_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "tier2-threshold" ] ~docv:"N"
-        ~doc:
-          "Tier-ladder alias for $(b,--trace-threshold): promote a hot \
-           block to a superblock once it has executed $(docv) times and \
-           its branch-outcome profile shows a dominant successor path.  \
-           When both flags are given the larger value wins.")
+          "Promote a hot block to a superblock (tier 2) once it has \
+           executed $(docv) times and its branch-outcome profile shows a \
+           dominant successor path, re-running the optimizer pipeline \
+           across the former block boundaries.  0 (default) disables \
+           superblock formation.  $(b,--tier2-threshold) is the \
+           tier-ladder name of the same option.")
 
 let jit_threshold_arg =
   Arg.(
@@ -402,7 +391,7 @@ let run_cmd =
     Term.(
       const run $ path_arg $ config_arg $ trace_arg $ debug_arg
       $ metrics_arg $ inject_arg $ no_chain_arg $ trace_threshold_arg
-      $ tier2_threshold_arg $ jit_threshold_arg $ sync_compile_arg
+      $ jit_threshold_arg $ sync_compile_arg
       $ report_arg $ postmortem_arg)
 
 let explain_fences_cmd =

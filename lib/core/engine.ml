@@ -267,10 +267,11 @@ let reset t =
   (* Order matters: discard queued installs first, then bump the
      generation via flush, so anything a background domain publishes
      after this point is stale by construction.  Per-block tier
-     profiles die with their nodes. *)
+     profiles and fence ledgers die with their blocks. *)
   discard_pending_installs t;
   Tbchain.flush t.tbs;
-  Hashtbl.reset t.tcg_cache
+  Hashtbl.reset t.tcg_cache;
+  Hashtbl.reset t.ledgers
 
 let translate t pc =
   Obs.Trace.with_span ~cat:"engine"
@@ -866,9 +867,8 @@ let trace_limit = 8
    static successor (the only seams [Tcg.Block.concat] can stitch —
    computed jumps never qualify because they dilute dominance through
    the profile's [other] bucket).  Revisits are allowed, so a self-loop
-   unrolls.  This replaces [Tbchain.hottest_path]'s static hottest-edge
-   walk: edges only exist where chaining happened to patch them,
-   whereas the profile sees every observed exit. *)
+   unrolls.  The profile sees every observed exit, whereas chain edges
+   only exist where chaining happened to patch them. *)
 let profile_path t head ~limit =
   let rec go acc n k =
     if k = 0 then List.rev acc
@@ -955,8 +955,7 @@ let maybe_superblock t node =
         Tier.note_super_installed node.Tbchain.tier ~expected_exit;
         Obs.Flight.record t.flight Obs.Flight.Superblock node.Tbchain.pc len;
         t.stats.superblocks <- t.stats.superblocks + 1;
-        Obs.Metrics.incr (Lazy.force m_superblocks);
-        Obs.Metrics.incr (Lazy.force Tier.m_promotions)
+        Obs.Metrics.incr (Lazy.force m_superblocks)
     | `Not_ready -> ()
     | `Failed -> node.Tbchain.no_super <- true
 
@@ -1209,10 +1208,7 @@ let publish_metrics t =
     set "engine.stats.tier1_installed" s.tier1_installed;
     set "engine.stats.deopts" s.deopts;
     set "engine.stats.installs_dropped" s.installs_dropped;
-    set "engine.stats.install_hwm" s.install_hwm;
-    Tier.publish ~interp_execs:s.interp_execs ~installed:s.tier1_installed
-      ~superblocks:s.superblocks ~deopts:s.deopts ~queue_hwm:s.install_hwm
-      ~dropped:s.installs_dropped
+    set "engine.stats.install_hwm" s.install_hwm
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1380,13 +1376,16 @@ let load_cache t path =
          chained targets and in-flight background compiles all die)
          before installing the staged blocks.  [clear_links] also
          resets every surviving node's tier profile — a resumed run
-         must not promote on counters trained before the reload. *)
+         must not promote on counters trained before the reload.  A
+         loaded block has no fence ledger, so the ledger of the
+         translation it replaces goes too. *)
       discard_pending_installs t;
       Tbchain.clear_links t.tbs;
       Hashtbl.iter
         (fun pc code ->
           let n = Tbchain.insert t.tbs pc (install_native t code) in
-          n.Tbchain.tier.Tier.state <- Tier.Published)
+          n.Tbchain.tier.Tier.state <- Tier.Published;
+          Hashtbl.remove t.ledgers pc)
         staged;
       t.stats.cache_quarantined <- t.stats.cache_quarantined + quarantined;
       if quarantined > 0 && Obs.Metrics.enabled () then

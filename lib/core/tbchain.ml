@@ -1,8 +1,8 @@
 (* Translation-block chain table: the dispatch-side view of the code
    cache.  Each translated block is a node; static exits resolved once
    are patched into edges so later executions jump block-to-block
-   without a hashtable lookup, QEMU-style.  Edge hit counts drive
-   hot-trace (superblock) formation.
+   without a hashtable lookup, QEMU-style.  Superblocks form from each
+   node's [Tier] profile, not from the edges.
 
    Invalidation is generation-based: flushing or clearing links bumps
    [generation], which lazily invalidates every per-thread jump cache
@@ -22,7 +22,7 @@ type 'a node = {
       (* tier-ladder state + observed-successor profile (see Tier) *)
 }
 
-and 'a edge = { epc : int64; target : 'a node; mutable hits : int }
+and 'a edge = { epc : int64; target : 'a node }
 
 type 'a t = {
   table : (int64, 'a node) Hashtbl.t;
@@ -88,7 +88,7 @@ let link t from ~epc target =
     && (not (List.exists (fun e -> Int64.equal e.epc epc) from.edges))
     && List.length from.edges < max_edges
   then begin
-    from.edges <- { epc; target; hits = 0 } :: from.edges;
+    from.edges <- { epc; target } :: from.edges;
     true
   end
   else false
@@ -96,30 +96,9 @@ let link t from ~epc target =
 let follow from pc =
   let rec go = function
     | [] -> None
-    | e :: rest ->
-        if Int64.equal e.epc pc then begin
-          e.hits <- e.hits + 1;
-          Some e.target
-        end
-        else go rest
+    | e :: rest -> if Int64.equal e.epc pc then Some e.target else go rest
   in
   go from.edges
-
-let hottest_edge n =
-  match n.edges with
-  | [] -> None
-  | e :: rest ->
-      Some (List.fold_left (fun a e -> if e.hits > a.hits then e else a) e rest)
-
-let hottest_path head ~limit =
-  let rec go acc n k =
-    if k = 0 then List.rev acc
-    else
-      match hottest_edge n with
-      | Some e when e.hits > 0 -> go (e.target :: acc) e.target (k - 1)
-      | _ -> List.rev acc
-  in
-  go [ head ] head (limit - 1)
 
 let install_super n active ~len =
   n.active <- active;

@@ -90,9 +90,7 @@ let samples p = p.a_n + p.b_n + p.other
 (* Dominance: at least [min_samples] observed exits and the leading
    static successor took >= 60% of them.  min_samples = 2 makes a
    tight loop dominant at its [trace_threshold]'th execution (the first
-   threshold-1 executions each record one exit), so profile-guided
-   formation fires at exactly the execution index the old static
-   hottest-edge heuristic did. *)
+   threshold-1 executions each record one exit). *)
 let min_samples = 2
 
 let dominant p =
@@ -140,26 +138,10 @@ let note_deopt p =
 let retry_allowed p = p.deopt_count < max_deopts
 
 (* Cold-path event counters under tier.*; the hot per-exec figures
-   (interp executions, queue depth) are published as gauges by
-   [Engine.publish_metrics] instead of being counted live. *)
+   (interp executions, queue depth) are published as engine.stats.*
+   gauges by [Engine.publish_metrics] instead of being counted live. *)
 let m_requests = lazy (Obs.Metrics.counter "tier.compile_requests")
 let m_installs = lazy (Obs.Metrics.counter "tier.installs")
 let m_install_failures = lazy (Obs.Metrics.counter "tier.install_failures")
 let m_installs_dropped = lazy (Obs.Metrics.counter "tier.installs_dropped")
-let m_promotions = lazy (Obs.Metrics.counter "tier.promotions")
 let m_deopts = lazy (Obs.Metrics.counter "tier.deopts")
-
-let g_interp_execs = lazy (Obs.Metrics.gauge "tier.interp_execs")
-let g_installed = lazy (Obs.Metrics.gauge "tier.installed")
-let g_superblocks = lazy (Obs.Metrics.gauge "tier.superblocks")
-let g_deopts = lazy (Obs.Metrics.gauge "tier.deopts")
-let g_queue_hwm = lazy (Obs.Metrics.gauge "tier.queue_hwm")
-let g_dropped = lazy (Obs.Metrics.gauge "tier.installs_dropped")
-
-let publish ~interp_execs ~installed ~superblocks ~deopts ~queue_hwm ~dropped =
-  Obs.Metrics.set (Lazy.force g_interp_execs) interp_execs;
-  Obs.Metrics.set (Lazy.force g_installed) installed;
-  Obs.Metrics.set (Lazy.force g_superblocks) superblocks;
-  Obs.Metrics.set (Lazy.force g_deopts) deopts;
-  Obs.Metrics.set (Lazy.force g_queue_hwm) queue_hwm;
-  Obs.Metrics.set (Lazy.force g_dropped) dropped

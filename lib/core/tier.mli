@@ -53,8 +53,7 @@ val samples : profile -> int
 
 (** [dominant p] is [Some (pc, n)] when at least {!min_samples} exits
     were observed and the leading static successor took >= 60% of
-    them — the profile-guided replacement for the static hottest-edge
-    heuristic. *)
+    them: the observed path superblock formation follows. *)
 val dominant : profile -> (int64 * int) option
 
 val min_samples : int
@@ -90,24 +89,13 @@ val retry_allowed : profile -> bool
 (** {2 Metrics}
 
     Cold-path event counters under [tier.*]; incremented by the engine
-    at request / install / promotion / demotion time. *)
+    at request / install / demotion time.  Promotions are counted as
+    [engine.superblocks]; the aggregate figures (interp executions,
+    installs, queue high-water mark) are [engine.stats.*] gauges set
+    by [Engine.publish_metrics]. *)
 
 val m_requests : Obs.Metrics.counter Lazy.t
 val m_installs : Obs.Metrics.counter Lazy.t
 val m_install_failures : Obs.Metrics.counter Lazy.t
 val m_installs_dropped : Obs.Metrics.counter Lazy.t
-val m_promotions : Obs.Metrics.counter Lazy.t
 val m_deopts : Obs.Metrics.counter Lazy.t
-
-(** Publish the aggregate tier gauges ([tier.interp_execs],
-    [tier.installed], [tier.superblocks], [tier.deopts],
-    [tier.queue_hwm], [tier.installs_dropped]); called from
-    [Engine.publish_metrics]. *)
-val publish :
-  interp_execs:int ->
-  installed:int ->
-  superblocks:int ->
-  deopts:int ->
-  queue_hwm:int ->
-  dropped:int ->
-  unit
