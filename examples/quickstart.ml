@@ -71,11 +71,17 @@ let () =
         (Core.Engine.cycles t) t.Core.Engine.arm.Arm.Machine.fences)
     Core.Config.all;
 
-  (* Show the translated code of the hot block. *)
+  (* Show the translated code of the hot block: the frontend's TCG after
+     the risotto optimizer passes, and the Arm code the engine ran. *)
   let loop_pc = Image.Gelf.symbol image "loop" in
+  let risotto = Core.Config.risotto in
+  let frontend =
+    Core.Frontend.create risotto image (Core.Engine.links engine)
+  in
   Format.printf "@.TCG IR of the loop block under risotto:@.%a@."
     Tcg.Block.pp
-    (Core.Engine.tcg_block engine loop_pc);
+    (Tcg.Pipeline.run risotto.Core.Config.passes
+       (Core.Frontend.translate frontend loop_pc));
   Format.printf "@.Arm host code:@.";
   Array.iteri
     (fun i insn -> Format.printf "  %2d: %a@." i Arm.Insn.pp insn)

@@ -2,18 +2,12 @@ let log_src = Logs.Src.create "risotto.engine" ~doc:"Risotto DBT engine"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-(* Observability handles.  Counters that are cheap and cold (translate,
-   faults, superblocks) are mirrored into the registry live; the hot
-   dispatch counters stay plain [stats] fields and are published as
-   gauges by {!publish_metrics} so the dispatch loop pays nothing for
-   them. *)
+(* Observability handles: latency histograms only.  Every count lives
+   once, in [stats], and is published as a gauge by {!publish_metrics},
+   so the dispatch loop pays nothing for it. *)
 let m_translate_ns = lazy (Obs.Metrics.histogram "engine.translate.ns")
 let m_compile_ns = lazy (Obs.Metrics.histogram "engine.compile.ns")
 let m_block_cycles = lazy (Obs.Metrics.histogram "engine.block.cycles")
-let m_translated = lazy (Obs.Metrics.counter "engine.blocks_translated")
-let m_fallbacks = lazy (Obs.Metrics.counter "engine.interp_fallbacks")
-let m_traps = lazy (Obs.Metrics.counter "engine.traps")
-let m_superblocks = lazy (Obs.Metrics.counter "engine.superblocks")
 
 (* Tier-lifecycle latency: how long a block waited from compile request
    to publication, and how long its finished result sat in the
@@ -44,8 +38,7 @@ type stats = {
   mutable interp_execs : int;
       (** dispatches served by the TCG interpreter (tier 0 + degraded
           blocks) *)
-  mutable tier1_installed : int;
-      (** compile requests whose native TB was published (tier 1) *)
+  mutable tier1_installed : int;  (** native TBs published *)
   mutable deopts : int;
       (** superblocks demoted back to tier-1 TBs on side-exit-rate
           regression *)
@@ -53,7 +46,7 @@ type stats = {
       (** compile results discarded by the generation check (reset /
           cache reload raced an in-flight install) *)
   mutable install_hwm : int;
-      (** install-queue depth high-water mark *)
+      (** background install-queue depth high-water mark *)
 }
 
 (* How the block at a pc executes: natively, or on the TCG interpreter
@@ -92,10 +85,8 @@ type t = {
   mem : Memsys.Mem.t;
   shared : Arm.Machine.shared;
   tbs : tb Tbchain.t;
-      (* the code cache: every translated block (native or degraded),
-         plus chain edges and hot-trace state *)
-  tcg_cache : (int64, Tcg.Block.t) Hashtbl.t;
-      (* optimized TCG per pc, kept for inspection and trace stitching *)
+      (* the code cache: one node per translated block (its code, TCG
+         and fence ledger), plus chain edges and hot-trace state *)
   inject : Inject.t;
   stats : stats;
   pending_spawns : (int * int64 * int64) Queue.t;  (* tid, entry, arg *)
@@ -112,8 +103,6 @@ type t = {
   flight : Obs.Flight.t;
       (* engine-wide flight ring: tier publishes, superblocks, deopts,
          install drops — lifecycle events not owned by one thread *)
-  ledgers : (int64, Tcg.Fence_ledger.t) Hashtbl.t;
-      (* per-block fence provenance, keyed by guest pc *)
   mutable guest_threads : guest_thread list;
       (* every thread ever spawned (newest first), so a postmortem can
          show what each was doing *)
@@ -184,9 +173,6 @@ let create ?cost ?idl ?install_service config image =
     mem;
     shared;
     tbs = Tbchain.create ~chain:config.Config.chain ();
-    (* Sized like the chain table: real images translate far more than
-       the 64 buckets the old caches started with. *)
-    tcg_cache = Hashtbl.create 4096;
     inject;
     stats =
       {
@@ -217,7 +203,6 @@ let create ?cost ?idl ?install_service config image =
     completions_m = Mutex.create ();
     completions_n = Atomic.make 0;
     flight = Obs.Flight.create ();
-    ledgers = Hashtbl.create 1024;
     guest_threads = [];
     postmortem_dir = None;
     postmortems_written = 0;
@@ -239,11 +224,20 @@ let thread_flight g = g.gflight
 let set_postmortem_dir t dir = t.postmortem_dir <- dir
 let postmortem_dir t = t.postmortem_dir
 let postmortems_written t = t.postmortems_written
-let fence_ledger t pc = Hashtbl.find_opt t.ledgers pc
+let fence_ledger t pc =
+  Option.bind (Tbchain.find t.tbs pc) (fun n -> n.Tbchain.ledger)
+
+(* Every node with its pc, in pc order: Hashtbl fold order is
+   unspecified, and reports and cache files must be stable. *)
+let nodes_by_pc t =
+  Tbchain.fold (fun pc n acc -> (pc, n) :: acc) t.tbs []
+  |> List.sort (fun (a, _) (b, _) -> Int64.compare a b)
 
 let fence_ledgers t =
-  Hashtbl.fold (fun pc l acc -> (pc, l) :: acc) t.ledgers []
-  |> List.sort (fun (a, _) (b, _) -> Int64.compare a b)
+  List.filter_map
+    (fun (pc, n) -> Option.map (fun l -> (pc, l)) n.Tbchain.ledger)
+    (nodes_by_pc t)
+
 let chain_generation t = Tbchain.generation t.tbs
 let chained_edges t = Tbchain.edge_count t.tbs
 let stack_top tid = Int64.sub 0x8000_0000L (Int64.of_int (tid * 0x10000))
@@ -258,8 +252,7 @@ let discard_pending_installs t =
   Mutex.unlock t.completions_m;
   if dropped > 0 then begin
     ignore (Atomic.fetch_and_add t.completions_n (-dropped));
-    t.stats.installs_dropped <- t.stats.installs_dropped + dropped;
-    Obs.Metrics.add (Lazy.force Tier.m_installs_dropped) dropped
+    t.stats.installs_dropped <- t.stats.installs_dropped + dropped
   end
 
 let reset t =
@@ -267,163 +260,96 @@ let reset t =
   (* Order matters: discard queued installs first, then bump the
      generation via flush, so anything a background domain publishes
      after this point is stale by construction.  Per-block tier
-     profiles and fence ledgers die with their blocks. *)
+     profiles, TCG and fence ledgers die with their nodes. *)
   discard_pending_installs t;
-  Tbchain.flush t.tbs;
-  Hashtbl.reset t.tcg_cache;
-  Hashtbl.reset t.ledgers
-
-let translate t pc =
-  Obs.Trace.with_span ~cat:"engine"
-    ~args:(fun () -> [ ("pc", Printf.sprintf "0x%Lx" pc) ])
-    "translate"
-  @@ fun () ->
-  Obs.Profile.time (Lazy.force m_translate_ns) @@ fun () ->
-  let raw =
-    Obs.Trace.with_span ~cat:"engine" "frontend" (fun () ->
-        Frontend.translate t.frontend pc)
-  in
-  Log.info (fun m ->
-      m "translate tb@0x%Lx: %d guest insns -> %d tcg ops" pc
-        raw.Tcg.Block.guest_insns (Tcg.Block.op_count raw));
-  let ledger = Tcg.Fence_ledger.create () in
-  let optimized = Tcg.Pipeline.run ~ledger t.config.Config.passes raw in
-  Hashtbl.replace t.ledgers pc ledger;
-  Obs.Flight.record t.flight Obs.Flight.Fence_pass pc
-    (Tcg.Fenceopt.count optimized.Tcg.Block.ops);
-  t.stats.blocks_translated <- t.stats.blocks_translated + 1;
-  Obs.Metrics.incr (Lazy.force m_translated);
-  t.stats.tcg_ops_before_opt <-
-    t.stats.tcg_ops_before_opt + Tcg.Block.op_count raw;
-  t.stats.tcg_ops_after_opt <-
-    t.stats.tcg_ops_after_opt + Tcg.Block.op_count optimized;
-  Hashtbl.replace t.tcg_cache pc optimized;
-  if t.config.Config.jit_threshold > 0 then
-    (* Tier 0: the block starts life on the TCG interpreter (state
-       [Cold], fresh profile) and the backend compile is deferred until
-       its execution count crosses the threshold. *)
-    Tbchain.insert t.tbs pc (Run_interp optimized)
-  else begin
-    let compiled =
-      if Inject.fire t.inject Inject.Compile then
-        Error (Fault.make ~pc Fault.Backend_fault "injected compile fault")
-      else
-        match
-          Obs.Trace.with_span ~cat:"engine" "backend" (fun () ->
-              Obs.Profile.time (Lazy.force m_compile_ns) (fun () ->
-                  Backend.compile t.config optimized))
-        with
-        | code -> Ok code
-        | exception Fault.Fault f -> Error (Fault.locate ~pc f)
-        | exception Backend.Register_pressure p ->
-            Error
-              (Fault.make ~pc Fault.Backend_fault
-                 (Printf.sprintf "register pressure in block 0x%Lx" p))
-    in
-    let body =
-      match compiled with
-      | Ok code ->
-          t.stats.fences_emitted <-
-            t.stats.fences_emitted
-            + Array.fold_left
-                (fun n i -> match i with Arm.Insn.Dmb _ -> n + 1 | _ -> n)
-                0 code;
-          install_native t code
-      | Error f ->
-          (* Degraded mode: the block stays on the TCG interpreter.  The
-             run keeps its semantics (the interpreter and backend agree by
-             construction), only this block's speed is lost. *)
-          Log.warn (fun m ->
-              m "tb@0x%Lx: backend failed (%s); falling back to interpreter" pc
-                (Fault.to_string f));
-          t.stats.interp_fallbacks <- t.stats.interp_fallbacks + 1;
-          Obs.Metrics.incr (Lazy.force m_fallbacks);
-          Run_interp optimized
-    in
-    let n = Tbchain.insert t.tbs pc body in
-    n.Tbchain.tier.Tier.state <-
-      (match body with
-      | Run_native _ -> Tier.Published
-      | Run_interp _ -> Tier.Degraded);
-    n
-  end
+  Tbchain.flush t.tbs
 
 (* ------------------------------------------------------------------ *)
-(* Tier 1: the async install queue.  The execution thread enqueues
-   compile jobs (capturing the immutable optimized TCG block, the
-   config, and the chain generation at request time); a background
-   service domain runs the pure [Backend.compile] and pushes the result
-   into [completions]; the execution thread publishes it into the chain
-   table between dispatches.  The background domain never touches the
+(* Compile and publish.  Every block enters the code cache as a [Cold]
+   interpreter body (tier 0); a compile request turns it native.  The
+   execution thread enqueues background jobs (capturing the immutable
+   optimized TCG block, the config, and the chain generation at request
+   time); a background service domain runs the pure [compile] and
+   pushes the result into [completions]; the execution thread publishes
+   it between dispatches.  The background domain never touches the
    engine's tables — publication is single-writer, and the
    mutex-protected queue plus the post-push atomic increment are the
    release/acquire pair that makes the compiled code array safely
-   visible (see DESIGN.md, "tier ladder"). *)
+   visible (see DESIGN.md, "tier ladder").  Synchronous requests
+   publish inline. *)
 
+(* The one backend call: pure, so it also runs on the background
+   domain, with every backend failure mapped to a located fault. *)
+let compile config ~pc tcg =
+  match Backend.compile config tcg with
+  | code -> Ok code
+  | exception Fault.Fault f -> Error (Fault.locate ~pc f)
+  | exception Backend.Register_pressure p ->
+      Error
+        (Fault.make ~pc Fault.Backend_fault
+           (Printf.sprintf "register pressure in block 0x%Lx" p))
+
+(* The one place a compile result lands: a native TB is published
+   (tier 1), a failure degrades the block to the TCG interpreter for
+   good.  Degraded mode keeps the run's semantics (the interpreter and
+   backend agree by construction); only this block's speed is lost. *)
+let publish t node ~gen result =
+  let pc = node.Tbchain.pc in
+  match result with
+  | Ok code ->
+      node.Tbchain.body <- install_native t code;
+      (* A superblock can only exist over a Native body, so the active
+         translation is the body. *)
+      node.Tbchain.active <- node.Tbchain.body;
+      node.Tbchain.tier.Tier.state <- Tier.Published;
+      t.stats.fences_emitted <-
+        t.stats.fences_emitted
+        + Array.fold_left
+            (fun n i -> match i with Arm.Insn.Dmb _ -> n + 1 | _ -> n)
+            0 code;
+      t.stats.tier1_installed <- t.stats.tier1_installed + 1;
+      Obs.Flight.record t.flight Obs.Flight.Tier_published pc gen;
+      Obs.Trace.instant ~cat:"engine"
+        ~args:(fun () -> [ ("pc", Printf.sprintf "0x%Lx" pc) ])
+        "tier-publish";
+      Log.debug (fun m ->
+          m "tb@0x%Lx: native TB published (%d host insns)" pc
+            (Array.length code))
+  | Error f ->
+      node.Tbchain.tier.Tier.state <- Tier.Degraded;
+      Obs.Flight.record t.flight Obs.Flight.Tier_degraded pc gen;
+      t.stats.interp_fallbacks <- t.stats.interp_fallbacks + 1;
+      Obs.Metrics.incr (Lazy.force Tier.m_install_failures);
+      Log.warn (fun m ->
+          m "tb@0x%Lx: backend failed (%s); staying on the interpreter" pc
+            (Fault.to_string f))
+
+(* A background result: published only if no reset or cache reload
+   bumped the generation, and the node still awaits it. *)
 let apply_install t inst =
-  let stale () =
-    t.stats.installs_dropped <- t.stats.installs_dropped + 1;
-    Obs.Flight.record t.flight Obs.Flight.Install_drop inst.i_pc inst.i_gen;
-    Obs.Metrics.incr (Lazy.force Tier.m_installs_dropped)
-  in
-  (* Lifecycle latency is metered end-to-end: observe only when the
-     request was stamped (metrics on at request time) and metrics are
-     still on now. *)
-  let observe_latency () =
-    if inst.i_req_us > 0. && Obs.Metrics.enabled () then begin
-      let now = Obs.Profile.now_us () in
-      Obs.Metrics.observe
-        (Lazy.force m_req_to_publish)
-        (int_of_float ((now -. inst.i_req_us) *. 1e3));
-      if inst.i_done_us > 0. then
+  match Tbchain.find t.tbs inst.i_pc with
+  | Some node
+    when inst.i_gen = Tbchain.generation t.tbs
+         && node.Tbchain.tier.Tier.state = Tier.Queued ->
+      publish t node ~gen:inst.i_gen inst.i_result;
+      (* Lifecycle latency is metered end-to-end: observe only when the
+         request was stamped (metrics on at request time) and metrics
+         are still on now. *)
+      if inst.i_req_us > 0. && Obs.Metrics.enabled () then begin
+        let now = Obs.Profile.now_us () in
+        Obs.Metrics.observe
+          (Lazy.force m_req_to_publish)
+          (int_of_float ((now -. inst.i_req_us) *. 1e3));
         Obs.Metrics.observe
           (Lazy.force m_install_queue)
           (int_of_float ((now -. inst.i_done_us) *. 1e3))
-    end
-  in
-  if inst.i_gen <> Tbchain.generation t.tbs then stale ()
-  else
-    match Tbchain.find t.tbs inst.i_pc with
-    | Some node when node.Tbchain.tier.Tier.state = Tier.Queued -> (
-        match inst.i_result with
-        | Ok code ->
-            node.Tbchain.body <- install_native t code;
-            (* A superblock can only exist over a Native body, so with
-               state Queued the active translation is the body. *)
-            node.Tbchain.active <- node.Tbchain.body;
-            node.Tbchain.tier.Tier.state <- Tier.Published;
-            t.stats.fences_emitted <-
-              t.stats.fences_emitted
-              + Array.fold_left
-                  (fun n i -> match i with Arm.Insn.Dmb _ -> n + 1 | _ -> n)
-                  0 code;
-            t.stats.tier1_installed <- t.stats.tier1_installed + 1;
-            Obs.Flight.record t.flight Obs.Flight.Tier_published inst.i_pc
-              inst.i_gen;
-            observe_latency ();
-            Obs.Trace.instant ~cat:"engine"
-              ~args:(fun () -> [ ("pc", Printf.sprintf "0x%Lx" inst.i_pc) ])
-              "tier-publish";
-            Obs.Metrics.incr (Lazy.force Tier.m_installs);
-            Log.debug (fun m ->
-                m "tb@0x%Lx: tier-1 TB published (%d host insns)" inst.i_pc
-                  (Array.length code))
-        | Error f ->
-            node.Tbchain.tier.Tier.state <- Tier.Degraded;
-            Obs.Flight.record t.flight Obs.Flight.Tier_degraded inst.i_pc
-              inst.i_gen;
-            t.stats.interp_fallbacks <- t.stats.interp_fallbacks + 1;
-            Obs.Metrics.incr (Lazy.force m_fallbacks);
-            Obs.Metrics.incr (Lazy.force Tier.m_install_failures);
-            Log.warn (fun m ->
-                m "tb@0x%Lx: background compile failed (%s); staying on \
-                   interpreter"
-                  inst.i_pc (Fault.to_string f)))
-    | Some _ | None ->
-        (* Same generation but the node was dropped or re-seeded
-           (e.g. a cache reload re-inserted it): the request no longer
-           describes the block. *)
-        stale ()
+      end
+  | Some _ | None ->
+      (* A newer generation, or the node was dropped or re-seeded (a
+         cache reload re-inserted it): the request no longer describes
+         the block. *)
+      t.stats.installs_dropped <- t.stats.installs_dropped + 1;
+      Obs.Flight.record t.flight Obs.Flight.Install_drop inst.i_pc inst.i_gen
 
 let apply_completions t =
   if Atomic.get t.completions_n > 0 then begin
@@ -439,51 +365,44 @@ let apply_completions t =
 let request_compile t node =
   match node.Tbchain.body with
   | Run_native _ -> ()
-  | Run_interp tcg ->
-      let p = node.Tbchain.tier in
-      p.Tier.state <- Tier.Queued;
-      Obs.Metrics.incr (Lazy.force Tier.m_requests);
+  | Run_interp tcg -> (
       let pc = node.Tbchain.pc in
       let gen = Tbchain.generation t.tbs in
+      node.Tbchain.tier.Tier.state <- Tier.Queued;
+      Obs.Metrics.incr (Lazy.force Tier.m_requests);
       Obs.Flight.record t.flight Obs.Flight.Tier_queued pc gen;
-      let req_us = if Obs.Metrics.enabled () then Obs.Profile.now_us () else 0. in
       (* Fault injection is stateful: fire on the execution thread at
-         enqueue time, so a plan's Nth/Seeded counters stay
+         request time, so a plan's Nth/Seeded counters stay
          deterministic however the background domain schedules. *)
       let injected = Inject.fire t.inject Inject.Compile in
-      let config = t.config in
-      let job () =
-        let result =
-          if injected then
-            Error (Fault.make ~pc Fault.Backend_fault "injected compile fault")
-          else
-            match Backend.compile config tcg with
-            | code -> Ok code
-            | exception Fault.Fault f -> Error (Fault.locate ~pc f)
-            | exception Backend.Register_pressure p' ->
-                Error
-                  (Fault.make ~pc Fault.Backend_fault
-                     (Printf.sprintf "register pressure in block 0x%Lx" p'))
-        in
-        let done_us = if req_us > 0. then Obs.Profile.now_us () else 0. in
-        Mutex.lock t.completions_m;
-        Queue.push
-          { i_pc = pc; i_gen = gen; i_result = result; i_req_us = req_us;
-            i_done_us = done_us }
-          t.completions;
-        Mutex.unlock t.completions_m;
-        Atomic.incr t.completions_n
+      let result () =
+        if injected then
+          Error (Fault.make ~pc Fault.Backend_fault "injected compile fault")
+        else compile t.config ~pc tcg
       in
-      (match t.install_service with
-      | Some svc when not t.config.Config.sync_compile ->
-          Parallel.Pool.service_submit svc job;
+      match t.install_service with
+      | Some svc ->
+          let req_us =
+            if Obs.Metrics.enabled () then Obs.Profile.now_us () else 0.
+          in
+          Parallel.Pool.service_submit svc (fun () ->
+              let i_result = result () in
+              let i_done_us =
+                if req_us > 0. then Obs.Profile.now_us () else 0.
+              in
+              Mutex.lock t.completions_m;
+              Queue.push
+                { i_pc = pc; i_gen = gen; i_result; i_req_us = req_us;
+                  i_done_us }
+                t.completions;
+              Mutex.unlock t.completions_m;
+              Atomic.incr t.completions_n);
           let depth = Parallel.Pool.service_pending svc in
           if depth > t.stats.install_hwm then t.stats.install_hwm <- depth
-      | Some _ | None ->
-          (* The determinism escape hatch ([sync_compile]): same
-             request/publish path, run to completion inline. *)
-          job ();
-          apply_completions t)
+      | None ->
+          publish t node ~gen
+            (Obs.Trace.with_span ~cat:"engine" "backend" (fun () ->
+                 Obs.Profile.time (Lazy.force m_compile_ns) result)))
 
 (* Wait for every in-flight background compile, then publish (or drop)
    the results.  No-op for synchronous engines. *)
@@ -492,6 +411,38 @@ let drain_installs t =
   | Some svc -> Parallel.Pool.service_drain svc
   | None -> ());
   apply_completions t
+
+(* Translate the block at [pc] into a fresh [Cold] node.  With
+   [jit_threshold = 0] its compile is requested at once — the tier
+   ladder with the compile at first translation — so the block is
+   native (or degraded) before it first runs. *)
+let translate t pc =
+  Obs.Trace.with_span ~cat:"engine"
+    ~args:(fun () -> [ ("pc", Printf.sprintf "0x%Lx" pc) ])
+    "translate"
+  @@ fun () ->
+  Obs.Profile.time (Lazy.force m_translate_ns) @@ fun () ->
+  let raw =
+    Obs.Trace.with_span ~cat:"engine" "frontend" (fun () ->
+        Frontend.translate t.frontend pc)
+  in
+  Log.info (fun m ->
+      m "translate tb@0x%Lx: %d guest insns -> %d tcg ops" pc
+        raw.Tcg.Block.guest_insns (Tcg.Block.op_count raw));
+  let ledger = Tcg.Fence_ledger.create () in
+  let optimized = Tcg.Pipeline.run ~ledger t.config.Config.passes raw in
+  Obs.Flight.record t.flight Obs.Flight.Fence_pass pc
+    (Tcg.Fenceopt.count optimized.Tcg.Block.ops);
+  t.stats.blocks_translated <- t.stats.blocks_translated + 1;
+  t.stats.tcg_ops_before_opt <-
+    t.stats.tcg_ops_before_opt + Tcg.Block.op_count raw;
+  t.stats.tcg_ops_after_opt <-
+    t.stats.tcg_ops_after_opt + Tcg.Block.op_count optimized;
+  let n =
+    Tbchain.insert t.tbs pc ~tcg:optimized ~ledger (Run_interp optimized)
+  in
+  if t.config.Config.jit_threshold = 0 then request_compile t n;
+  n
 
 let fetch t pc =
   t.stats.lookups <- t.stats.lookups + 1;
@@ -507,10 +458,6 @@ let lookup_block t pc =
   | Interp_only _ ->
       Fault.raise_ ~pc Fault.Backend_fault
         "block is interpreter-only (backend failed to compile it)"
-
-let tcg_block t pc =
-  ignore (fetch t pc);
-  Hashtbl.find t.tcg_cache pc
 
 let spawn t ~tid ~entry ?(regs = []) () =
   t.next_tid := max !(t.next_tid) (tid + 1);
@@ -555,6 +502,34 @@ let fault_of_machine_trap pc = function
   | Arm.Machine.Fell_through i ->
       Fault.make ~pc Fault.Translate_fault
         (Printf.sprintf "block fell through at index %d" i)
+
+(* Publish the hot-path dispatch counters (kept as plain mutable fields
+   so dispatch pays nothing for them) into the metrics registry as
+   gauges.  Call once at end of run, e.g. before printing a snapshot. *)
+let publish_metrics t =
+  if Obs.Metrics.enabled () then begin
+    let s = t.stats in
+    let set name v = Obs.Metrics.set (Obs.Metrics.gauge name) v in
+    set "engine.stats.blocks_translated" s.blocks_translated;
+    set "engine.stats.blocks_executed" s.blocks_executed;
+    set "engine.stats.cache_hits" s.cache_hits;
+    set "engine.stats.lookups" s.lookups;
+    set "engine.stats.fences_emitted" s.fences_emitted;
+    set "engine.stats.tcg_ops_before_opt" s.tcg_ops_before_opt;
+    set "engine.stats.tcg_ops_after_opt" s.tcg_ops_after_opt;
+    set "engine.stats.chained" s.chained;
+    set "engine.stats.chain_hits" s.chain_hits;
+    set "engine.stats.jmp_cache_hits" s.jmp_cache_hits;
+    set "engine.stats.superblocks" s.superblocks;
+    set "engine.stats.interp_fallbacks" s.interp_fallbacks;
+    set "engine.stats.traps" s.traps;
+    set "engine.stats.cache_quarantined" s.cache_quarantined;
+    set "engine.stats.interp_execs" s.interp_execs;
+    set "engine.stats.tier1_installed" s.tier1_installed;
+    set "engine.stats.deopts" s.deopts;
+    set "engine.stats.installs_dropped" s.installs_dropped;
+    set "engine.stats.install_hwm" s.install_hwm
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Postmortems: on a trap (or watchdog exhaustion / injected fault) the
@@ -649,39 +624,29 @@ let postmortem_json ?(last = 32) t ~reason =
       ]
   in
   let tiers =
-    Tbchain.fold
-      (fun pc n acc ->
+    List.map
+      (fun (pc, n) ->
         Report.Json.Obj
           [
             ("pc", Report.Json.String (Printf.sprintf "0x%Lx" pc));
             ("state", Report.Json.String (state_name n.Tbchain.tier.Tier.state));
             ("execs", Report.Json.Int n.Tbchain.exec_count);
             ("super_len", Report.Json.Int n.Tbchain.super_len);
-          ]
-        :: acc)
-      t.tbs []
-  in
-  let tiers =
-    (* Hashtbl fold order is unspecified: re-sort by the pc string we
-       just embedded so the artifact is stable. *)
-    List.sort
-      (fun a b ->
-        match (Report.Json.member "pc" a, Report.Json.member "pc" b) with
-        | Some (Report.Json.String x), Some (Report.Json.String y) -> compare x y
-        | _ -> 0)
-      tiers
+          ])
+      (nodes_by_pc t)
   in
   let trapping_ledgers =
     List.filter_map
       (fun g ->
         match g.trap with
-        | Some _ ->
-            Option.map (json_of_ledger g.pc) (Hashtbl.find_opt t.ledgers g.pc)
+        | Some _ -> Option.map (json_of_ledger g.pc) (fence_ledger t g.pc)
         | None -> None)
       threads
   in
   let metrics =
     if Obs.Metrics.enabled () then begin
+      (* This engine's stats, as gauges, are the count slice. *)
+      publish_metrics t;
       let snap = Obs.Metrics.snapshot () in
       let fields kvs =
         List.filter deterministic_metric kvs
@@ -749,7 +714,6 @@ let dump_postmortem t ~reason =
 let record_fault t g f =
   let f = Fault.locate ~pc:g.pc ~tid:g.arm.Arm.Machine.tid f in
   t.stats.traps <- t.stats.traps + 1;
-  Obs.Metrics.incr (Lazy.force m_traps);
   Obs.Trace.instant ~cat:"engine"
     ~args:(fun () -> [ ("fault", Fault.to_string f) ])
     "trap";
@@ -887,36 +851,27 @@ let profile_path t head ~limit =
    [no_super]. *)
 let form_superblock t head =
   let path = profile_path t head ~limit:trace_limit in
+  (* A member still on the interpreter is retryable unless degraded; a
+     block loaded from the cache has no TCG to stitch. *)
   let tcg_of n =
-    match n.Tbchain.body with
-    | Run_native _ -> (
-        match Hashtbl.find_opt t.tcg_cache n.Tbchain.pc with
-        | Some b -> `Tcg b
-        | None -> `Failed (* loaded from cache: no TCG to stitch *))
-    | Run_interp _ ->
-        if n.Tbchain.tier.Tier.state = Tier.Degraded then `Failed
-        else `Not_ready
+    match (n.Tbchain.body, n.Tbchain.tcg) with
+    | Run_native _, Some b -> Ok b
+    | Run_interp _, _ when n.Tbchain.tier.Tier.state <> Tier.Degraded ->
+        Error `Not_ready
+    | _ -> Error `Failed
   in
-  let rec collect = function
-    | [] -> `Blocks []
-    | n :: rest -> (
-        match tcg_of n with
-        | (`Failed | `Not_ready) as x -> x
-        | `Tcg b -> (
-            match collect rest with
-            | `Blocks bs -> `Blocks (b :: bs)
-            | x -> x))
-  in
+  let members = List.map tcg_of path in
   if List.length path < 2 then `Not_ready
   else
-    match collect path with
-    | (`Failed | `Not_ready) as x -> x
-    | `Blocks blocks -> (
+    match List.find_map (function Error e -> Some e | Ok _ -> None) members with
+    | Some e -> e
+    | None -> (
+        let blocks = List.filter_map Result.to_option members in
         let stitched =
           Tcg.Pipeline.run t.config.Config.passes (Tcg.Block.concat blocks)
         in
-        match Backend.compile t.config stitched with
-        | code ->
+        match compile t.config ~pc:head.Tbchain.pc stitched with
+        | Ok code ->
             Log.info (fun m ->
                 m "superblock@0x%Lx: %d blocks, %d tcg ops" head.Tbchain.pc
                   (List.length blocks)
@@ -930,8 +885,7 @@ let form_superblock t head =
               | None -> -1L
             in
             `Installed (install_native t code, List.length blocks, expected_exit)
-        | exception Fault.Fault _ -> `Failed
-        | exception Backend.Register_pressure _ -> `Failed)
+        | Error _ -> `Failed)
 
 let maybe_superblock t node =
   let threshold = t.config.Config.trace_threshold in
@@ -954,8 +908,7 @@ let maybe_superblock t node =
         Tbchain.install_super node super ~len;
         Tier.note_super_installed node.Tbchain.tier ~expected_exit;
         Obs.Flight.record t.flight Obs.Flight.Superblock node.Tbchain.pc len;
-        t.stats.superblocks <- t.stats.superblocks + 1;
-        Obs.Metrics.incr (Lazy.force m_superblocks)
+        t.stats.superblocks <- t.stats.superblocks + 1
     | `Not_ready -> ()
     | `Failed -> node.Tbchain.no_super <- true
 
@@ -974,7 +927,6 @@ let maybe_deopt t node =
     Obs.Flight.record t.flight Obs.Flight.Tier_deopt node.Tbchain.pc
       p.Tier.deopt_count;
     t.stats.deopts <- t.stats.deopts + 1;
-    Obs.Metrics.incr (Lazy.force Tier.m_deopts);
     Log.info (fun m ->
         m "superblock@0x%Lx deoptimized (side-exit regression)"
           node.Tbchain.pc)
@@ -999,8 +951,7 @@ let step_block t g =
           (match node.Tbchain.active with
           | Run_interp _ ->
               Obs.Flight.record g.gflight Obs.Flight.Block_enter g.pc 0;
-              t.stats.interp_execs <- t.stats.interp_execs + 1;
-              p.Tier.interp_execs <- p.Tier.interp_execs + 1
+              t.stats.interp_execs <- t.stats.interp_execs + 1
           | Run_native _ ->
               Obs.Flight.record g.gflight Obs.Flight.Block_enter g.pc 1);
           maybe_superblock t node;
@@ -1167,7 +1118,8 @@ let hot_blocks ?limit t =
    is distinguishable from a run where degradation went unreported.
    The two install-queue fields are zero-suppressed and named after
    their gauges ([installs_dropped] / [install_hwm]): most runs never
-   drop an install, and a sync engine has no queue at all. *)
+   drop an install, and only a background install service has a
+   queue. *)
 let stats_line t g =
   let s = t.stats in
   Printf.sprintf
@@ -1182,34 +1134,6 @@ let stats_line t g =
      else "")
     (if s.install_hwm > 0 then Printf.sprintf " install-hwm=%d" s.install_hwm
      else "")
-
-(* Publish the hot-path dispatch counters (kept as plain mutable fields
-   so dispatch pays nothing for them) into the metrics registry as
-   gauges.  Call once at end of run, e.g. before printing a snapshot. *)
-let publish_metrics t =
-  if Obs.Metrics.enabled () then begin
-    let s = t.stats in
-    let set name v = Obs.Metrics.set (Obs.Metrics.gauge name) v in
-    set "engine.stats.blocks_translated" s.blocks_translated;
-    set "engine.stats.blocks_executed" s.blocks_executed;
-    set "engine.stats.cache_hits" s.cache_hits;
-    set "engine.stats.lookups" s.lookups;
-    set "engine.stats.fences_emitted" s.fences_emitted;
-    set "engine.stats.tcg_ops_before_opt" s.tcg_ops_before_opt;
-    set "engine.stats.tcg_ops_after_opt" s.tcg_ops_after_opt;
-    set "engine.stats.chained" s.chained;
-    set "engine.stats.chain_hits" s.chain_hits;
-    set "engine.stats.jmp_cache_hits" s.jmp_cache_hits;
-    set "engine.stats.superblocks" s.superblocks;
-    set "engine.stats.interp_fallbacks" s.interp_fallbacks;
-    set "engine.stats.traps" s.traps;
-    set "engine.stats.cache_quarantined" s.cache_quarantined;
-    set "engine.stats.interp_execs" s.interp_execs;
-    set "engine.stats.tier1_installed" s.tier1_installed;
-    set "engine.stats.deopts" s.deopts;
-    set "engine.stats.installs_dropped" s.installs_dropped;
-    set "engine.stats.install_hwm" s.install_hwm
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Persistent translation cache: translated host code keyed by guest
@@ -1240,13 +1164,12 @@ let save_cache t path =
   Buffer.add_char b (Char.chr (String.length t.config.Config.name));
   Buffer.add_string b t.config.Config.name;
   let entries =
-    Tbchain.fold
-      (fun pc n acc ->
+    List.filter_map
+      (fun (pc, n) ->
         match n.Tbchain.body with
-        | Run_native p -> (pc, Arm.Machine.code p) :: acc
-        | Run_interp _ -> acc)
-      t.tbs []
-    |> List.sort compare
+        | Run_native p -> Some (pc, Arm.Machine.code p)
+        | Run_interp _ -> None)
+      (nodes_by_pc t)
   in
   Buffer.add_string b (Printf.sprintf "%08d" (List.length entries));
   let body = Buffer.create 256 in
@@ -1377,15 +1300,17 @@ let load_cache t path =
          before installing the staged blocks.  [clear_links] also
          resets every surviving node's tier profile — a resumed run
          must not promote on counters trained before the reload.  A
-         loaded block has no fence ledger, so the ledger of the
-         translation it replaces goes too. *)
+         loaded block keeps the TCG of the translation it replaces (so
+         traces through it still stitch) but has no fence ledger. *)
       discard_pending_installs t;
       Tbchain.clear_links t.tbs;
       Hashtbl.iter
         (fun pc code ->
-          let n = Tbchain.insert t.tbs pc (install_native t code) in
-          n.Tbchain.tier.Tier.state <- Tier.Published;
-          Hashtbl.remove t.ledgers pc)
+          let tcg =
+            Option.bind (Tbchain.find t.tbs pc) (fun n -> n.Tbchain.tcg)
+          in
+          let n = Tbchain.insert t.tbs pc ?tcg (install_native t code) in
+          n.Tbchain.tier.Tier.state <- Tier.Published)
         staged;
       t.stats.cache_quarantined <- t.stats.cache_quarantined + quarantined;
       if quarantined > 0 && Obs.Metrics.enabled () then

@@ -13,20 +13,22 @@
     so it never changes results or guest cycles; disable it with
     [config.chain = false].
 
-    {b Tier ladder.}  With [config.jit_threshold > 0] fresh blocks
-    start on the TCG interpreter (tier 0) while a {!Tier} profile
-    accumulates execution and branch-outcome counters; crossing the
-    threshold requests a backend compile — inline when
-    [config.sync_compile], otherwise on a background
+    {b Tier ladder.}  Every translated block enters the code cache on
+    the TCG interpreter (tier 0) while a {!Tier} profile accumulates
+    execution and branch-outcome counters; once its execution count
+    reaches [config.jit_threshold] a backend compile is requested —
+    inline when [config.sync_compile], otherwise on a background
     {!Parallel.Pool.service} with the result published between
     dispatches under a generation check (tier 1).  With
+    [jit_threshold = 0] the request is made at translation, so the
+    block is native before it first runs.  With
     [config.trace_threshold > 0], hot block heads whose profile shows a
     dominant observed successor get that path stitched into a
     superblock and re-optimized across the former block boundaries
     (tier 2, see {!Tcg.Block.concat}), and are demoted back to their
     tier-1 TB if the side-exit rate regresses.  All presets have
-    [jit_threshold = 0]: the ladder is opt-in, and every tier runs the
-    same Pipeline and fence mapping.
+    [jit_threshold = 0], and every tier runs the same Pipeline and
+    fence mapping.
 
     {b Fault model.}  Guest-caused failures (undecodable code, missing
     helpers, unresolvable imports, runaway blocks) never abort a run:
@@ -69,8 +71,9 @@ type stats = {
           (block not yet past [config.jit_threshold], or its compile
           still in flight) plus degraded blocks *)
   mutable tier1_installed : int;
-      (** compile requests whose native TB was published into the chain
-          table (tier 1) *)
+      (** native TBs the engine published (tier 1), whether compiled at
+          translation ([jit_threshold = 0]), inline or in the
+          background *)
   mutable deopts : int;
       (** superblocks demoted back to their tier-1 TB because the
           observed side-exit rate regressed *)
@@ -79,8 +82,9 @@ type stats = {
           bumped the chain generation while they were queued or in
           flight *)
   mutable install_hwm : int;
-      (** install-queue depth high-water mark (background service
-          depth at submit, or pending completions at publish) *)
+      (** background install-queue depth high-water mark (service
+          depth at submit, or pending completions at publish); 0 for
+          engines without a background install service *)
 }
 
 (** Engine log source ([risotto.engine]): [info] logs translations,
@@ -181,9 +185,6 @@ val chained_edges : t -> int
     {!fetch}. *)
 val lookup_block : t -> int64 -> Arm.Insn.t array
 
-(** The optimized TCG block at an address (for inspection). *)
-val tcg_block : t -> int64 -> Tcg.Block.t
-
 (** Execute one translation block of the thread.  Faults are absorbed:
     they finish the thread and set its [trap] field. *)
 val step_block : t -> guest_thread -> unit
@@ -248,7 +249,7 @@ val hot_blocks : ?limit:int -> t -> Obs.Profile.entry list
     degradation is impossible to confuse with "not reported".  The
     install-queue fields ([installs-dropped] / [install-hwm], named for
     their gauges) are zero-suppressed: they only appear when an install
-    was actually dropped or queued. *)
+    was actually dropped or queued on a background install service. *)
 val stats_line : t -> guest_thread -> string
 
 (** {2 Flight recorder and postmortems}
@@ -280,9 +281,10 @@ val postmortems_written : t -> int
 (** Build the postmortem document: [reason], config name, each thread's
     last [last] flight events (default 32) with its pc/trap state, the
     engine ring, per-block tier states sorted by pc, the fence ledger
-    of every trapping block, a chain-table summary, and the
-    deterministic (non-wall-clock) slice of the metrics registry.
-    Byte-identical across identical runs. *)
+    of every trapping block, a chain-table summary, and — when metrics
+    are enabled — the deterministic (non-wall-clock) slice of the
+    metrics registry, after {!publish_metrics} has set this engine's
+    [engine.stats.*] gauges.  Byte-identical across identical runs. *)
 val postmortem_json : ?last:int -> t -> reason:string -> Report.Json.t
 
 (** Fence provenance ledger of the block translated at a pc, if that

@@ -4,6 +4,11 @@
    without a hashtable lookup, QEMU-style.  Superblocks form from each
    node's [Tier] profile, not from the edges.
 
+   A node is the one record of a translated block: besides the code
+   dispatch runs, it keeps the optimized TCG the code was compiled from
+   (trace stitching re-optimizes it) and the fence ledger of that
+   translation, so every per-block fact dies with its node.
+
    Invalidation is generation-based: flushing or clearing links bumps
    [generation], which lazily invalidates every per-thread jump cache
    and pending chained target that was built against the old state. *)
@@ -12,6 +17,11 @@ type 'a node = {
   pc : int64;
   mutable body : 'a;  (* the original translation of the block *)
   mutable active : 'a;  (* what dispatch executes: body or a superblock *)
+  mutable tcg : Tcg.Block.t option;
+      (* optimized TCG of the translation; None for a block loaded from
+         the persistent cache into an engine that never translated it *)
+  mutable ledger : Tcg.Fence_ledger.t option;
+      (* fence provenance of the translation; None once cache-loaded *)
   mutable exec_count : int;
   mutable edges : 'a edge list;  (* patched static exits, at most one per pc *)
   mutable super_len : int;  (* number of stitched blocks; 0 = no superblock *)
@@ -55,12 +65,14 @@ let reset_node n body =
   n.prof_cycles <- 0;
   Tier.reset n.tier
 
-let insert t pc body =
+let insert t pc ?tcg ?ledger body =
   match Hashtbl.find_opt t.table pc with
   | Some n ->
       (* Retranslation: existing edges into this node keep pointing at
          the same record, so patched jumps see the new body. *)
       reset_node n body;
+      n.tcg <- tcg;
+      n.ledger <- ledger;
       n
   | None ->
       let n =
@@ -68,6 +80,8 @@ let insert t pc body =
           pc;
           body;
           active = body;
+          tcg;
+          ledger;
           exec_count = 0;
           edges = [];
           super_len = 0;
@@ -108,16 +122,7 @@ let install_super n active ~len =
   n.edges <- []
 
 let clear_links t =
-  Hashtbl.iter
-    (fun _ n ->
-      n.edges <- [];
-      n.active <- n.body;
-      n.exec_count <- 0;
-      n.super_len <- 0;
-      n.no_super <- false;
-      n.prof_cycles <- 0;
-      Tier.reset n.tier)
-    t.table;
+  Hashtbl.iter (fun _ n -> reset_node n n.body) t.table;
   t.generation <- t.generation + 1
 
 let flush t =

@@ -6,7 +6,9 @@
     superblock stitched over a hot trace), an execution count, and the
     {e patched edges}: static exits resolved once through the cache and
     recorded so later executions follow the link without a hashtable
-    lookup (QEMU-style direct chaining).
+    lookup (QEMU-style direct chaining).  The node is also the one
+    record of the block's translation: the optimized TCG and the fence
+    ledger live on it, so they are dropped and replaced with it.
 
     {b Invalidation.}  [clear_links]/[flush] bump {!generation}; stale
     per-thread state (jump caches, pending chained targets) is detected
@@ -17,6 +19,12 @@ type 'a node = {
   pc : int64;  (** guest pc of the block head *)
   mutable body : 'a;  (** the original translation *)
   mutable active : 'a;  (** what dispatch executes (body or superblock) *)
+  mutable tcg : Tcg.Block.t option;
+      (** the optimized TCG the body was compiled from; [None] for a
+          block loaded from the persistent cache that this table never
+          translated *)
+  mutable ledger : Tcg.Fence_ledger.t option;
+      (** fence provenance of the translation; [None] for loaded blocks *)
   mutable exec_count : int;
   mutable edges : 'a edge list;  (** patched static exits, one per pc *)
   mutable super_len : int;  (** blocks stitched into [active]; 0 = none *)
@@ -48,10 +56,13 @@ val generation : 'a t -> int
 
 val find : 'a t -> int64 -> 'a node option
 
-(** Insert (or replace) the translation for a pc.  Replacing reuses the
-    existing node record — edges into it keep working and see the new
-    body — and resets its edges, counts and superblock state. *)
-val insert : 'a t -> int64 -> 'a -> 'a node
+(** Insert (or replace) the translation for a pc, with its TCG and
+    fence ledger ([None] when omitted).  Replacing reuses the existing
+    node record — edges into it keep working and see the new body — and
+    resets its edges, counts and superblock state. *)
+val insert :
+  'a t -> int64 -> ?tcg:Tcg.Block.t -> ?ledger:Tcg.Fence_ledger.t -> 'a ->
+  'a node
 
 (** [link t from ~epc target] patches the static exit of [from] at
     guest pc [epc] to jump straight to [target].  Returns [true] if a

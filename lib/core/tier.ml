@@ -2,12 +2,11 @@
 
    A block climbs interp (tier 0) -> baseline native (tier 1) ->
    superblock (tier 2).  This module owns the profile every Tbchain
-   node carries: where the block sits on the ladder, how many times the
-   interpreter has run it, and a two-slot inline counter of observed
-   static-exit successors that drives both tier-2 trace formation and
-   the Obs hot-block "heat" ranking.  Everything here is plain mutable
-   state touched only by the execution thread; the background compile
-   domain never sees a profile. *)
+   node carries: where the block sits on the ladder, and a two-slot
+   inline counter of observed static-exit successors that drives both
+   tier-2 trace formation and the Obs hot-block "heat" ranking.
+   Everything here is plain mutable state touched only by the execution
+   thread; the background compile domain never sees a profile. *)
 
 type state =
   | Cold  (* tier 0: interpreting, accumulating profile *)
@@ -17,7 +16,6 @@ type state =
 
 type profile = {
   mutable state : state;
-  mutable interp_execs : int;
   (* Observed successors of the block's *static* exits (Goto_tb seams).
      A block has at most two static exit targets, so two inline slots
      cover the common case exactly; computed jumps, halts and anything
@@ -41,7 +39,6 @@ type profile = {
 let fresh () =
   {
     state = Cold;
-    interp_execs = 0;
     a_pc = -1L;
     a_n = 0;
     b_pc = -1L;
@@ -53,25 +50,20 @@ let fresh () =
     deopt_count = 0;
   }
 
-let reset p =
-  p.state <- Cold;
-  p.interp_execs <- 0;
-  p.a_pc <- -1L;
-  p.a_n <- 0;
-  p.b_pc <- -1L;
-  p.b_n <- 0;
-  p.other <- 0;
-  p.super_exit <- -1L;
-  p.super_entries <- 0;
-  p.super_side_exits <- 0;
-  p.deopt_count <- 0
-
 let reset_succs p =
   p.a_pc <- -1L;
   p.a_n <- 0;
   p.b_pc <- -1L;
   p.b_n <- 0;
   p.other <- 0
+
+let reset p =
+  p.state <- Cold;
+  reset_succs p;
+  p.super_exit <- -1L;
+  p.super_entries <- 0;
+  p.super_side_exits <- 0;
+  p.deopt_count <- 0
 
 let record_succ p pc =
   if p.a_n = 0 || Int64.equal p.a_pc pc then begin
@@ -137,11 +129,9 @@ let note_deopt p =
 
 let retry_allowed p = p.deopt_count < max_deopts
 
-(* Cold-path event counters under tier.*; the hot per-exec figures
-   (interp executions, queue depth) are published as engine.stats.*
-   gauges by [Engine.publish_metrics] instead of being counted live. *)
+(* Cold-path event counters under tier.*; every figure the engine also
+   keeps in its stats record (installs, drops, deopts, interp
+   executions, queue depth) is published as an engine.stats.* gauge by
+   [Engine.publish_metrics] instead of being counted twice. *)
 let m_requests = lazy (Obs.Metrics.counter "tier.compile_requests")
-let m_installs = lazy (Obs.Metrics.counter "tier.installs")
 let m_install_failures = lazy (Obs.Metrics.counter "tier.install_failures")
-let m_installs_dropped = lazy (Obs.Metrics.counter "tier.installs_dropped")
-let m_deopts = lazy (Obs.Metrics.counter "tier.deopts")

@@ -3,7 +3,7 @@
 
     Every {!Tbchain} node carries one {!profile}.  The execution thread
     is its only writer: it records the block's observed static-exit
-    successors and interpreter executions while the block is cold,
+    successors while the block is cold,
     drives the compile-request state machine when the block crosses
     [Config.jit_threshold], and tracks superblock side-exit rates for
     demotion.  The background compile domain never reads or writes a
@@ -21,7 +21,6 @@ type state = Cold | Queued | Published | Degraded
 
 type profile = {
   mutable state : state;
-  mutable interp_execs : int;
   mutable a_pc : int64;  (** first observed static successor *)
   mutable a_n : int;
   mutable b_pc : int64;  (** second observed static successor *)
@@ -89,13 +88,10 @@ val retry_allowed : profile -> bool
 (** {2 Metrics}
 
     Cold-path event counters under [tier.*]; incremented by the engine
-    at request / install / demotion time.  Promotions are counted as
-    [engine.superblocks]; the aggregate figures (interp executions,
-    installs, queue high-water mark) are [engine.stats.*] gauges set
-    by [Engine.publish_metrics]. *)
+    at request time and when a compile fails.  Installs, dropped
+    installs, deopts, superblocks, interp executions and the queue
+    high-water mark live only in the engine's stats record and are
+    exported as [engine.stats.*] gauges by [Engine.publish_metrics]. *)
 
 val m_requests : Obs.Metrics.counter Lazy.t
-val m_installs : Obs.Metrics.counter Lazy.t
 val m_install_failures : Obs.Metrics.counter Lazy.t
-val m_installs_dropped : Obs.Metrics.counter Lazy.t
-val m_deopts : Obs.Metrics.counter Lazy.t

@@ -169,6 +169,44 @@ let test_watchdog_dumps_postmortem () =
            (fun (e : Fl.event) -> e.Fl.kind = Fl.Watchdog)
            (Fl.events (Core.Engine.thread_flight g))))
 
+(* Tier states are sorted by pc as a number, not as its hex string:
+   blocks at 0xfff and 0x1000 (loaded from a hand-framed RSTC2 cache)
+   must come out in that order. *)
+let test_postmortem_tiers_in_pc_order () =
+  let path = Filename.temp_file "risotto_flight" ".rstc" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let config = Core.Config.risotto in
+  let b = Buffer.create 64 in
+  Buffer.add_string b "RSTC2\n";
+  Buffer.add_char b (Char.chr (String.length config.Core.Config.name));
+  Buffer.add_string b config.Core.Config.name;
+  Buffer.add_string b "00000002";
+  List.iter
+    (fun pc ->
+      let body = Arm.Encode.block_to_string [| Arm.Insn.Exit_halt |] in
+      Buffer.add_string b (Printf.sprintf "%016Lx%08d" pc (String.length body));
+      Buffer.add_string b (Checksum.Crc32.to_hex (Checksum.Crc32.digest body));
+      Buffer.add_string b body)
+    [ 0x1000L; 0xfffL ];
+  Out_channel.with_open_bin path (fun oc -> Buffer.output_buffer oc b);
+  let eng = Core.Engine.create config (build Oracle.countdown) in
+  (match Core.Engine.load_cache eng path with
+  | Ok n -> check_int "both entries loaded" 2 n
+  | Error f -> Alcotest.fail (Core.Fault.to_string f));
+  let pcs =
+    let pm = Core.Engine.postmortem_json eng ~reason:"test" in
+    match Report.Json.member "tiers" pm with
+    | Some (Report.Json.List tiers) ->
+        List.map
+          (fun tier ->
+            match Report.Json.member "pc" tier with
+            | Some (Report.Json.String pc) -> pc
+            | _ -> Alcotest.fail "tier entry without a pc")
+          tiers
+    | _ -> Alcotest.fail "postmortem without tiers"
+  in
+  Alcotest.(check (list string)) "numeric pc order" [ "0xfff"; "0x1000" ] pcs
+
 (* ------------------------------------------------------------------ *)
 (* Fence provenance                                                    *)
 
@@ -319,6 +357,8 @@ let () =
             test_postmortem_dumped_on_trap;
           Alcotest.test_case "dumped on watchdog exhaustion" `Quick
             test_watchdog_dumps_postmortem;
+          Alcotest.test_case "tier states in numeric pc order" `Quick
+            test_postmortem_tiers_in_pc_order;
         ] );
       ( "fence provenance",
         [

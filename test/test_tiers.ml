@@ -45,6 +45,44 @@ let looped_prop =
     (QCheck.pair (Oracle.arb_shape Oracle.Looped) Oracle.arb_plan)
     (Oracle.on_presets Oracle.check_matrix)
 
+(* [jit_threshold = 0] is the ladder with the compile requested at
+   translation, so it must agree with [jit_threshold = 1] under
+   [sync_compile] on guest state, cycles and the tier counts: every
+   published TB counted once, and only a block whose compile failed
+   ever runs on the interpreter. *)
+let check_one_path config image _ =
+  let eager = Oracle.run config image in
+  let first_exec =
+    Oracle.run
+      { config with Core.Config.jit_threshold = 1; sync_compile = true }
+      image
+  in
+  let at = Oracle.label config "jit_threshold 0 vs 1" in
+  if eager.Oracle.state <> first_exec.Oracle.state then
+    Alcotest.failf "%s: guest state differs (%s)" at
+      (Oracle.diff eager.Oracle.state first_exec.Oracle.state);
+  check_int (at ^ ": cycles") eager.Oracle.cycles first_exec.Oracle.cycles;
+  List.iter
+    (fun (name, count) ->
+      check_int (at ^ ": " ^ name)
+        (count eager.Oracle.stats)
+        (count first_exec.Oracle.stats))
+    [
+      ("fences_emitted", fun s -> s.Core.Engine.fences_emitted);
+      ("tier1_installed", fun s -> s.Core.Engine.tier1_installed);
+      ("interp_fallbacks", fun s -> s.Core.Engine.interp_fallbacks);
+      ("interp_execs", fun s -> s.Core.Engine.interp_execs);
+    ];
+  let st = eager.Oracle.stats in
+  if st.Core.Engine.interp_fallbacks = 0 then
+    check_int (at ^ ": no interpreted dispatch") 0 st.Core.Engine.interp_execs;
+  check_int (at ^ ": every translated block published or degraded")
+    st.Core.Engine.blocks_translated
+    (st.Core.Engine.tier1_installed + st.Core.Engine.interp_fallbacks)
+
+let test_one_path_examples () = Oracle.on_examples check_one_path
+let test_one_path_fault_corpus () = Oracle.on_fault_corpus check_one_path
+
 (* ------------------------------------------------------------------ *)
 (* Engagement: every tier visibly fires and is reported                *)
 
@@ -272,6 +310,13 @@ let () =
           Alcotest.test_case "parity under fault injection" `Quick
             test_fault_corpus;
           QCheck_alcotest.to_alcotest looped_prop;
+        ] );
+      ( "one path",
+        [
+          Alcotest.test_case "jit_threshold 0 = 1 on example programs" `Quick
+            test_one_path_examples;
+          Alcotest.test_case "jit_threshold 0 = 1 under fault injection"
+            `Quick test_one_path_fault_corpus;
         ] );
       ( "engagement",
         [

@@ -276,7 +276,16 @@ def cmd_tiers(path):
     check_envelope(j, path, "tiers")
     if not j["results_identical"]:
         fail(f"{path}: tier0/sync-all/tiered guest results diverge")
-    ti, sy = j["tiered"], j["sync_all"]
+    ti, sy, t0 = j["tiered"], j["sync_all"], j["tier0"]
+    if sy["tier1_installed"] == 0:
+        fail(f"{path}: sync-all published no native TB at translation")
+    if sy["interp_execs"] != 0:
+        fail(
+            f"{path}: sync-all ran {sy['interp_execs']} blocks on the "
+            f"interpreter; every block must be native before it runs"
+        )
+    if t0["tier1_installed"] != 0:
+        fail(f"{path}: tier0-only published {t0['tier1_installed']} native TBs")
     if ti["interp_execs"] == 0:
         fail(f"{path}: tiered run never executed on the interpreter (tier 0)")
     if ti["tier1_installed"] == 0:
