@@ -272,63 +272,20 @@ let bechamel_benches () =
 (* Refinement sweep wall-clock bench → BENCH_refinement.json           *)
 
 (* Every mapping scheme the test suite checks, over the whole corpus:
-   the workload behind every Theorem-1 verdict in this repo. *)
-let all_schemes =
-  let open Mapping.Schemes in
-  let x86 = Axiom.X86_tso.model in
-  let tcg = Axiom.Tcg_model.model in
-  let arm_orig = Axiom.Arm_cats.model Axiom.Arm_cats.Original in
-  let arm_fix = Axiom.Arm_cats.model Axiom.Arm_cats.Corrected in
-  let rmw2_fe, rmw2_be = risotto_rmw2_preset in
-  let casal_fe, casal_be = risotto_casal_preset in
-  let qemu_fe, qemu_be = qemu_preset in
-  [
-    ("fig7a/x86->tcg", x86_to_tcg Risotto_frontend, x86, tcg);
-    ("fig2/x86->tcg", x86_to_tcg Qemu_frontend, x86, tcg);
-    ("qemu-gcc10/arm-fix", x86_to_arm qemu_fe qemu_be, x86, arm_fix);
-    ( "qemu-gcc9/arm-fix",
-      x86_to_arm Qemu_frontend { lowering = `Qemu; rmw = Helper_gcc9 },
-      x86,
-      arm_fix );
-    ("risotto-rmw2/arm-orig", x86_to_arm rmw2_fe rmw2_be, x86, arm_orig);
-    ("risotto-rmw2/arm-fix", x86_to_arm rmw2_fe rmw2_be, x86, arm_fix);
-    ("risotto-casal/arm-orig", x86_to_arm casal_fe casal_be, x86, arm_orig);
-    ("risotto-casal/arm-fix", x86_to_arm casal_fe casal_be, x86, arm_fix);
-    ("armcats-direct/arm-orig", x86_to_arm_direct_armcats, x86, arm_orig);
-    ("armcats-direct/arm-fix", x86_to_arm_direct_armcats, x86, arm_fix);
-    ( "no-fences/arm-fix",
-      x86_to_arm No_fences_frontend { lowering = `Risotto; rmw = Risotto_rmw1 },
-      x86,
-      arm_fix );
-  ]
+   the workload behind every Theorem-1 verdict in this repo (the
+   report's pseudo-scheme "transform-raw" is an IR rewrite, not a
+   mapping, and stays out). *)
+let refinement_entries () =
+  List.filter
+    (fun (e : Report.Sweep.entry) -> e.Report.Sweep.scheme <> "transform-raw")
+    (Report.Sweep.default_entries ())
 
-let sweep_tasks () =
-  List.concat_map
-    (fun (sname, f, src_model, tgt_model) ->
-      List.map
-        (fun (tname, src) -> (sname, tname, f, src_model, tgt_model, src))
-        Litmus.Catalog.mapping_corpus)
-    all_schemes
-
-let run_sweep ?pool tasks =
-  Parallel.Pool.map_list ?pool
-    (fun (sname, tname, f, src_model, tgt_model, src) ->
-      let r = Mapping.Check.refines ~src_model ~tgt_model ~src ~tgt:(f src) in
-      { r with Mapping.Check.name = Printf.sprintf "%s: %s" sname tname })
-    tasks
-
-let sweep_cells tasks =
+(* The per-cell sweep ([Report.Sweep.run]: [Mapping.Check.refines] once
+   per cell). *)
+let per_cell_reports entries () =
   List.map
-    (fun (sname, tname, f, src_model, tgt_model, src) ->
-      {
-        Mapping.Check.cell_scheme = sname;
-        cell_program = tname;
-        cell_f = f;
-        cell_src_model = src_model;
-        cell_tgt_model = tgt_model;
-        cell_src = src;
-      })
-    tasks
+    (fun (c : Report.Sweep.cell) -> c.Report.Sweep.report)
+    (Report.Sweep.run entries).Report.Sweep.cells
 
 (* Wall time of the best of [reps] cold-cache runs. *)
 let time_runs ~reps run =
@@ -361,7 +318,7 @@ let chunk_json stats =
            c.Parallel.Pool.c_len c.Parallel.Pool.c_us)
        stats)
 
-(* The sequential arm is the per-task [refines] loop — the exact code
+(* The sequential arm is the per-cell sweep — the exact code
    path of every earlier recorded baseline — while the parallel arm
    goes through the batch planner ([check_cells]): cells are grouped by
    target program and the model-independent survivor set is enumerated
@@ -375,9 +332,9 @@ let refinement_bench ~jobs ~reps ~out () =
        "Refinement sweep wall-clock bench (sequential vs -j %d planned, best \
         of %d)"
        jobs reps);
-  let tasks = sweep_tasks () in
-  let cells = sweep_cells tasks in
-  let seq_s, seq_reports = time_runs ~reps (fun () -> run_sweep tasks) in
+  let entries = refinement_entries () in
+  let cells = Report.Sweep.cells entries in
+  let seq_s, seq_reports = time_runs ~reps (per_cell_reports entries) in
   let (par_s, par_reports), chunks, workers =
     Parallel.Pool.with_pool ~jobs (fun pool ->
         let timed =
@@ -385,7 +342,7 @@ let refinement_bench ~jobs ~reps ~out () =
         in
         (timed, Parallel.Pool.batch_stats pool, Parallel.Pool.workers_spawned pool))
   in
-  let seq_enums = count_enumerations (fun () -> run_sweep tasks) in
+  let seq_enums = count_enumerations (per_cell_reports entries) in
   let par_enums =
     count_enumerations (fun () -> Mapping.Check.check_cells cells)
   in
@@ -412,7 +369,7 @@ let refinement_bench ~jobs ~reps ~out () =
      %.3fs, speedup %.2fx@.  enumerations: %d per-task vs %d planned; %d \
      chunk(s) of <=%d over %d domain(s) (%d worker(s) spawned)@.  verdicts \
      identical: %b; violations (expected bug reports): %d@."
-    (List.length tasks) (List.length all_schemes)
+    (List.length cells) (List.length entries)
     (List.length Litmus.Catalog.mapping_corpus)
     seq_s jobs par_s speedup seq_enums par_enums (List.length chunks)
     chunk_size domains_used workers identical violations;
@@ -441,9 +398,9 @@ let refinement_bench ~jobs ~reps ~out () =
 }
 |}
     (envelope "refinement")
-    (List.length all_schemes)
+    (List.length entries)
     (List.length Litmus.Catalog.mapping_corpus)
-    (List.length tasks) reps jobs
+    (List.length cells) reps jobs
     (Domain.recommended_domain_count ())
     workers seq_s par_s speedup seq_enums par_enums chunk_size domains_used
     (chunk_json chunks) identical violations hits misses;
@@ -479,40 +436,8 @@ let generator_bench ~jobs ~reps ~gen_n ~seed ~out () =
   let gen_s = Unix.gettimeofday () -. t0 in
   let classes = List.length corpus.Litmus.Generate.classes in
   let dedup = Litmus.Generate.dedup_ratio corpus in
-  let cells =
-    List.concat_map
-      (fun (e : Report.Sweep.entry) ->
-        List.map
-          (fun (pname, src) ->
-            {
-              Mapping.Check.cell_scheme = e.Report.Sweep.scheme;
-              cell_program = pname;
-              cell_f = e.Report.Sweep.f;
-              cell_src_model = e.Report.Sweep.src_model;
-              cell_tgt_model = e.Report.Sweep.tgt_model;
-              cell_src = src;
-            })
-          e.Report.Sweep.corpus)
-      entries
-  in
-  let per_task () =
-    List.map
-      (fun (c : Mapping.Check.cell) ->
-        let r =
-          Mapping.Check.refines ~src_model:c.Mapping.Check.cell_src_model
-            ~tgt_model:c.Mapping.Check.cell_tgt_model
-            ~src:c.Mapping.Check.cell_src
-            ~tgt:(c.Mapping.Check.cell_f c.Mapping.Check.cell_src)
-        in
-        {
-          r with
-          Mapping.Check.name =
-            Printf.sprintf "%s: %s" c.Mapping.Check.cell_scheme
-              c.Mapping.Check.cell_program;
-        })
-      cells
-  in
-  let seq_s, seq_reports = time_runs ~reps per_task in
+  let cells = Report.Sweep.cells entries in
+  let seq_s, seq_reports = time_runs ~reps (per_cell_reports entries) in
   let (par_s, par_reports), workers =
     Parallel.Pool.with_pool ~jobs (fun pool ->
         let timed =
@@ -1098,7 +1023,7 @@ let run_campaign ~entries ~reference ~tmp i plan_str =
   in
   let crashed, first_failures =
     match
-      Report.Sweep.run_journaled ~policy ~journal_chaos ~journal entries
+      Report.Sweep.run ~policy ~journal_chaos ~journal entries
     with
     | r -> (false, List.length r.Report.Sweep.failures)
     | exception Parallel.Frontier.Injected_fault _ -> (true, 0)
@@ -1109,7 +1034,7 @@ let run_campaign ~entries ~reference ~tmp i plan_str =
   let rec converge k =
     if k > 3 then (k - 1, None)
     else
-      let r = Report.Sweep.run_journaled ~journal entries in
+      let r = Report.Sweep.run ~journal entries in
       if r.Report.Sweep.failures = [] then (k, Some r) else converge (k + 1)
   in
   let resumes, final = converge 1 in
@@ -1144,7 +1069,7 @@ let run_watchdog ~entries ~reference ~tmp =
   let policy =
     { Parallel.Supervise.default with deadline_s = Some 1e-6 }
   in
-  let r = Report.Sweep.run_journaled ~policy ~journal entries in
+  let r = Report.Sweep.run ~policy ~journal entries in
   let timeouts =
     List.length
       (List.filter
@@ -1159,7 +1084,7 @@ let run_watchdog ~entries ~reference ~tmp =
     && timeouts = List.length r.Report.Sweep.failures
     && List.length r.Report.Sweep.cells + timeouts = List.length reference
   in
-  let r2 = Report.Sweep.run_journaled ~journal entries in
+  let r2 = Report.Sweep.run ~journal entries in
   let recovered =
     r2.Report.Sweep.failures = []
     && List.map cell_sig r2.Report.Sweep.cells = List.map cell_sig reference
@@ -1312,7 +1237,7 @@ let chaos_bench ~plans ~seed ~out () =
   Sys.remove tmp;
   Unix.mkdir tmp 0o700;
   let entries = chaos_entries () in
-  let reference = Report.Sweep.run entries in
+  let reference = (Report.Sweep.run entries).Report.Sweep.cells in
   Format.printf "  reference: %d cells over %d scheme(s)@."
     (List.length reference) (List.length entries);
   let campaigns =

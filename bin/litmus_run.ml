@@ -69,128 +69,125 @@ let report_one model verbose path outcome =
           v.Litmus.Enumerate.witnesses;
       v.Litmus.Enumerate.ok
 
-(* --report DIR: run the refinement sweep (all schemes × mapping corpus,
-   plus the FMR transformation counterexample) with witness capture and
-   the axiom-coverage probe, and write the self-contained HTML report
-   plus one JSON artifact per witness.  Exit is nonzero when any
-   refinement check in the sweep fails — known-bad schemes in the
-   default sweep make that the expected outcome. *)
-let run_report dir scheme_filters metrics ~journal ~task_timeout ~task_retries
-    ~inject =
-  let entries = Report.Sweep.default_entries () in
-  let entries =
-    match scheme_filters with
-    | [] -> entries
-    | fs ->
-        List.filter
-          (fun (e : Report.Sweep.entry) ->
-            List.mem e.Report.Sweep.scheme fs)
-          entries
+let no_scheme_matches filters =
+  Format.eprintf "no scheme matches %s (known: %s)@."
+    (String.concat ", " filters)
+    (String.concat ", "
+       (List.map
+          (fun (e : Report.Sweep.entry) -> e.Report.Sweep.scheme)
+          (Report.Sweep.default_entries ())));
+  2
+
+(* --report DIR: run the refinement sweep over [entries] with witness
+   capture and the axiom-coverage probe, and write the self-contained
+   HTML report plus one JSON artifact per witness.  The default sweep
+   (all schemes × mapping corpus, plus the FMR transformation
+   counterexample) journals only when asked; a generated sweep always
+   journals, in shards of [shard_size], and also probes the target
+   models.  Exit 1 when any refinement check fails — known-bad schemes
+   in the default sweep make that the expected outcome — and exit 3
+   when the sweep is incomplete (supervision failures or an injected
+   journal tear): resume to converge. *)
+let run_report ~metrics ~task_timeout ~task_retries ~inject ~generated
+    ?shard_size ?pool ?journal dir entries =
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let policy =
+    {
+      Parallel.Supervise.default with
+      deadline_s = task_timeout;
+      retries = task_retries;
+      chaos =
+        Option.map
+          (fun i -> Core.Inject.fire_hook i Core.Inject.Pool_task)
+          inject;
+    }
   in
-  if entries = [] then begin
-    Format.eprintf "no scheme matches %s (known: %s)@."
-      (String.concat ", " scheme_filters)
-      (String.concat ", "
-         (List.map
-            (fun (e : Report.Sweep.entry) -> e.Report.Sweep.scheme)
-            (Report.Sweep.default_entries ())));
-    2
-  end
-  else begin
-    let coverage = Report.Coverage.create () in
-    (* The plain path is byte-for-byte the pre-journal sweep; the
-       journaled path replays completed cells and supervises the rest.
-       Both produce the same cells for the same corpus, which is what
-       the resume-parity CI check pins down. *)
-    let cells, failures =
-      match journal with
-      | None -> (Report.Sweep.run ~capture:true ~coverage entries, [])
-      | Some journal ->
-          let policy =
-            {
-              Parallel.Supervise.default with
-              deadline_s = task_timeout;
-              retries = task_retries;
-              chaos =
-                Option.map
-                  (fun i -> Core.Inject.fire_hook i Core.Inject.Pool_task)
-                  inject;
-            }
-          in
-          let journal_chaos =
-            Option.map
-              (fun i -> Core.Inject.fire_hook i Core.Inject.Journal_write)
-              inject
-          in
-          let r =
-            Report.Sweep.run_journaled ~capture:true ~coverage ~policy
-              ?journal_chaos ~journal entries
-          in
-          if r.Report.Sweep.recovery.Parallel.Frontier.valid > 0 then
-            Format.printf "journal %s: %d verdict(s) replayed, %d computed%s@."
-              journal r.Report.Sweep.replayed r.Report.Sweep.computed
-              (if r.Report.Sweep.recovery.Parallel.Frontier.dropped_bytes > 0
-               then
-                 Printf.sprintf " (%d torn byte(s) dropped)"
-                   r.Report.Sweep.recovery.Parallel.Frontier.dropped_bytes
-               else "");
-          (r.Report.Sweep.cells, r.Report.Sweep.failures)
-    in
-    let models =
-      List.sort_uniq
-        (fun (a : Axiom.Model.t) b ->
-          compare a.Axiom.Model.name b.Axiom.Model.name)
-        (List.map
-           (fun (e : Report.Sweep.entry) -> e.Report.Sweep.src_model)
-           entries)
-    in
-    let bench = Report.Html.load_bench_dir dir in
-    let metrics_snap =
-      if metrics then Some (Obs.Metrics.snapshot ()) else None
-    in
-    let html, witnesses =
-      Report.Html.write ~dir ?metrics:metrics_snap ~coverage ~models ~bench
-        cells
-    in
-    List.iter
-      (fun (c : Report.Sweep.cell) ->
-        Format.printf "%-32s VIOLATION (%d extra, %d witness(es))@."
-          c.Report.Sweep.report.Mapping.Check.name
-          (List.length c.Report.Sweep.report.Mapping.Check.extra)
-          (List.length c.Report.Sweep.witnesses))
-      (Report.Sweep.failing cells);
-    Format.printf "wrote %s and %d witness artifact(s) to %s@." html
-      (List.length witnesses) dir;
-    List.iter
-      (fun (scheme, program, f) ->
-        Format.printf "%-32s %a@."
-          (Printf.sprintf "%s: %s" scheme program)
-          Parallel.Supervise.pp_failure f)
-      failures;
-    (* Supervision failures (exit 3) outrank refinement violations
-       (exit 1): the sweep is incomplete, so its verdict table cannot
-       be trusted yet — resume to converge. *)
-    if failures <> [] then 3 else if Report.Sweep.all_ok cells then 0 else 1
-  end
+  let journal_chaos =
+    Option.map
+      (fun i -> Core.Inject.fire_hook i Core.Inject.Journal_write)
+      inject
+  in
+  let coverage = Report.Coverage.create () in
+  match
+    Report.Sweep.run ~capture:true ~coverage ~policy ?pool ?shard_size
+      ~probe_targets:generated ?journal ?journal_chaos entries
+  with
+  | exception Parallel.Frontier.Injected_fault msg ->
+      Format.printf
+        "%s in %s (injected journal-write fault): sweep incomplete, rerun \
+         with --resume@."
+        msg
+        (Option.value journal ~default:"the journal");
+      3
+  | r ->
+      let recovery = r.Report.Sweep.recovery in
+      if recovery.Parallel.Frontier.valid > 0 then
+        Format.printf "journal %s: %d verdict(s) replayed, %d computed%s@."
+          (Option.value journal ~default:"")
+          r.Report.Sweep.replayed r.Report.Sweep.computed
+          (if recovery.Parallel.Frontier.dropped_bytes > 0 then
+             Printf.sprintf " (%d torn byte(s) dropped)"
+               recovery.Parallel.Frontier.dropped_bytes
+           else "");
+      if generated then
+        Format.printf "coverage: %d shard(s) of <=%d cell(s); %s@."
+          (List.length r.Report.Sweep.shards)
+          (Option.value shard_size ~default:1)
+          (match r.Report.Sweep.saturated_after with
+          | Some s ->
+              Printf.sprintf
+                "discriminating-axiom coverage saturated after shard %d" s
+          | None -> "still discovering new axiom pairs in the final shard");
+      let models =
+        List.sort_uniq
+          (fun (a : Axiom.Model.t) b ->
+            compare a.Axiom.Model.name b.Axiom.Model.name)
+          (List.concat_map
+             (fun (e : Report.Sweep.entry) ->
+               e.Report.Sweep.src_model
+               :: (if generated then [ e.Report.Sweep.tgt_model ] else []))
+             entries)
+      in
+      let cells = r.Report.Sweep.cells in
+      let html, witnesses =
+        Report.Html.write ~dir
+          ?metrics:(if metrics then Some (Obs.Metrics.snapshot ()) else None)
+          ~coverage ~models ~bench:(Report.Html.load_bench_dir dir) cells
+      in
+      List.iter
+        (fun (c : Report.Sweep.cell) ->
+          Format.printf "%-32s VIOLATION (%d extra, %d witness(es))@."
+            c.Report.Sweep.report.Mapping.Check.name
+            (List.length c.Report.Sweep.report.Mapping.Check.extra)
+            (List.length c.Report.Sweep.witnesses))
+        (Report.Sweep.failing cells);
+      Format.printf "wrote %s and %d witness artifact(s) to %s@." html
+        (List.length witnesses) dir;
+      List.iter
+        (fun (scheme, program, f) ->
+          Format.printf "%-32s %a@."
+            (Printf.sprintf "%s: %s" scheme program)
+            Parallel.Supervise.pp_failure f)
+        r.Report.Sweep.failures;
+      (* Supervision failures (exit 3) outrank refinement violations
+         (exit 1): the sweep is incomplete, so its verdict table cannot
+         be trusted yet — resume to converge. *)
+      if r.Report.Sweep.failures <> [] then 3
+      else if Report.Sweep.all_ok cells then 0
+      else 1
 
 (* --generate N: sweep a seeded QCheck corpus (deduped into shape
-   classes) through the generated-sweep runner.  With --report DIR the
-   sweep is journaled (DIR/journal unless --journal), resumable,
-   coverage-probed and rendered like the default sweep; without
-   --report it is the smoke mode: generate, dedup, check every class
-   through the batch planner, print a summary. *)
-let run_generate ~n ~seed ~shard ~schemes ~report_dir ~journal ~resume ~jobs
-    ~metrics ~task_timeout ~task_retries ~inject =
-  let schemes = match schemes with [] -> None | fs -> Some fs in
-  let corpus, entries = Report.Sweep.generated_entries ?schemes ~seed n in
-  if entries = [] then begin
-    Format.eprintf "no generated scheme matches (known: %s)@."
-      (String.concat ", "
-         (List.map
-            (fun (e : Report.Sweep.entry) -> e.Report.Sweep.scheme)
-            (Report.Sweep.default_entries ())));
-    2
-  end
+   classes).  With --report DIR it is a generated report (see
+   [run_report]); without --report it is the smoke mode: generate,
+   dedup, check every class through the batch planner, print a
+   summary. *)
+let run_generate ~n ~seed ~schemes ~jobs report =
+  let corpus, entries =
+    Report.Sweep.generated_entries
+      ?schemes:(match schemes with [] -> None | fs -> Some fs)
+      ~seed n
+  in
+  if entries = [] then no_scheme_matches schemes
   else begin
     let classes = List.length corpus.Litmus.Generate.classes in
     Format.printf
@@ -207,27 +204,14 @@ let run_generate ~n ~seed ~shard ~schemes ~report_dir ~journal ~resume ~jobs
     Fun.protect
       ~finally:(fun () -> Option.iter Parallel.Pool.shutdown pool)
       (fun () ->
-        match report_dir with
+        match report with
+        | Some report -> report pool entries
         | None ->
             (* Smoke mode: one planned batch over every (scheme, class)
                cell, no journal, no report. *)
-            let cells =
-              List.concat_map
-                (fun (e : Report.Sweep.entry) ->
-                  List.map
-                    (fun (pname, src) ->
-                      {
-                        Mapping.Check.cell_scheme = e.Report.Sweep.scheme;
-                        cell_program = pname;
-                        cell_f = e.Report.Sweep.f;
-                        cell_src_model = e.Report.Sweep.src_model;
-                        cell_tgt_model = e.Report.Sweep.tgt_model;
-                        cell_src = src;
-                      })
-                    e.Report.Sweep.corpus)
-                entries
+            let reports =
+              Mapping.Check.check_cells ?pool (Report.Sweep.cells entries)
             in
-            let reports = Mapping.Check.check_cells ?pool cells in
             let bad =
               List.filter (fun (r : Mapping.Check.report) -> not r.ok) reports
             in
@@ -242,77 +226,10 @@ let run_generate ~n ~seed ~shard ~schemes ~report_dir ~journal ~resume ~jobs
                 Format.printf "%-32s VIOLATION (%d extra)@." r.name
                   (List.length r.extra))
               bad;
-            if bad = [] then 0 else 1
-        | Some dir ->
-            (try Unix.mkdir dir 0o755
-             with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-            let journal =
-              match journal with
-              | Some j -> j
-              | None -> Filename.concat dir "journal"
-            in
-            ignore resume;
-            let coverage = Report.Coverage.create () in
-            let policy =
-              {
-                Parallel.Supervise.default with
-                deadline_s = task_timeout;
-                retries = task_retries;
-                chaos =
-                  Option.map
-                    (fun i -> Core.Inject.fire_hook i Core.Inject.Pool_task)
-                    inject;
-              }
-            in
-            let g =
-              Report.Sweep.run_generated ~capture:true ~coverage ?pool
-                ~policy ~shard_size:shard ~probe_targets:true ~journal
-                entries
-            in
-            let j = g.Report.Sweep.gen_journaled in
-            if j.Report.Sweep.recovery.Parallel.Frontier.valid > 0 then
-              Format.printf "journal %s: %d verdict(s) replayed, %d computed@."
-                journal j.Report.Sweep.replayed j.Report.Sweep.computed;
-            Format.printf "coverage: %d shard(s) of <=%d cell(s); %s@."
-              (List.length g.Report.Sweep.gen_shards)
-              shard
-              (match g.Report.Sweep.gen_saturated_after with
-              | Some s ->
-                  Printf.sprintf
-                    "discriminating-axiom coverage saturated after shard %d" s
-              | None -> "still discovering new axiom pairs in the final shard");
-            let models =
-              List.sort_uniq
-                (fun (a : Axiom.Model.t) b ->
-                  compare a.Axiom.Model.name b.Axiom.Model.name)
-                (List.concat_map
-                   (fun (e : Report.Sweep.entry) ->
-                     [ e.Report.Sweep.src_model; e.Report.Sweep.tgt_model ])
-                   entries)
-            in
-            let bench = Report.Html.load_bench_dir dir in
-            let metrics_snap =
-              if metrics then Some (Obs.Metrics.snapshot ()) else None
-            in
-            let html, witnesses =
-              Report.Html.write ~dir ?metrics:metrics_snap ~coverage ~models
-                ~bench j.Report.Sweep.cells
-            in
-            Format.printf "wrote %s and %d witness artifact(s) to %s@." html
-              (List.length witnesses) dir;
-            List.iter
-              (fun (scheme, program, f) ->
-                Format.printf "%-32s %a@."
-                  (Printf.sprintf "%s: %s" scheme program)
-                  Parallel.Supervise.pp_failure f)
-              j.Report.Sweep.failures;
-            if j.Report.Sweep.failures <> [] then 3
-            else if Report.Sweep.all_ok j.Report.Sweep.cells then 0
-            else 1)
+            if bad = [] then 0 else 1)
   end
 
-let main files model_name verbose jobs metrics =
-  if metrics then Obs.Metrics.enable ();
+let check_files files model_name verbose jobs metrics =
   match List.assoc_opt model_name models with
   | None ->
       Format.eprintf "unknown model %S (one of: %s)@." model_name
@@ -394,7 +311,8 @@ let journal_arg =
           "With $(b,--report): journal every completed (scheme, program) \
            verdict to $(docv) as it lands, so a killed sweep can resume \
            from exactly the completed work.  Implied (at \
-           $(b,DIR/journal)) by $(b,--resume).")
+           $(b,DIR/journal)) by $(b,--resume) and by $(b,--generate N \
+           --report DIR).")
 
 let resume_arg =
   Arg.(
@@ -405,7 +323,9 @@ let resume_arg =
            earlier (interrupted) run instead of recomputing them, then \
            compute only the remainder.  The resumed report is \
            byte-identical to an uninterrupted run's.  Uses \
-           $(b,DIR/journal) unless $(b,--journal) names another file.")
+           $(b,DIR/journal) unless $(b,--journal) names another file.  A \
+           generated report ($(b,--generate N --report DIR)) always \
+           journals there, so it resumes with or without this flag.")
 
 let task_timeout_arg =
   Arg.(
@@ -413,19 +333,21 @@ let task_timeout_arg =
     & opt (some float) None
     & info [ "task-timeout" ] ~docv:"SECONDS"
         ~doc:
-          "With $(b,--report --journal/--resume): cooperative per-cell \
-           deadline.  A cell that exceeds it is reported as timed out \
-           (typed, terminal — the checks are deterministic) and the \
-           sweep goes on; exit code 3 flags the incomplete table.")
+          "With $(b,--report) (default or generated sweep, journaled or \
+           not): cooperative per-cell deadline.  A cell that exceeds it \
+           is reported as timed out (typed, terminal — the checks are \
+           deterministic) and the sweep goes on; exit code 3 flags the \
+           incomplete table.")
 
 let task_retries_arg =
   Arg.(
     value & opt int 0
     & info [ "task-retries" ] ~docv:"N"
         ~doc:
-          "With $(b,--report --journal/--resume): retry a failed cell up \
-           to $(docv) more times (exponential backoff) before \
-           quarantining it as a typed failure.")
+          "With $(b,--report) (default or generated sweep, journaled or \
+           not): retry a failed cell up to $(docv) more times \
+           (exponential backoff) before quarantining it as a typed \
+           failure.")
 
 let inject_arg =
   Arg.(
@@ -433,12 +355,13 @@ let inject_arg =
     & opt (some string) None
     & info [ "inject" ] ~docv:"PLAN"
         ~doc:
-          "With $(b,--report --journal/--resume): deterministic fault \
-           plan for the chaos sites, e.g. \
+          "With $(b,--report) (default or generated sweep): deterministic \
+           fault plan for the chaos sites, e.g. \
            $(b,nth:journal-write:2,seeded:pool-task:7:200).  \
            $(b,pool-task) rules fail task attempts (retried under the \
-           supervision policy); $(b,journal-write) rules tear the \
-           journal append mid-record, simulating a crash.")
+           supervision policy); $(b,journal-write) rules tear a journaled \
+           sweep's append mid-record, simulating a crash: the run stops \
+           with exit code 3 and $(b,--resume) converges.")
 
 let generate_arg =
   Arg.(
@@ -472,12 +395,13 @@ let shard_arg =
 
 let main files model_name verbose jobs metrics report schemes journal resume
     task_timeout task_retries inject_plan generate seed shard =
+  if metrics then Obs.Metrics.enable ();
   let jobs =
     match jobs with
     | Some 0 -> Some (Domain.recommended_domain_count ())
     | j -> j
   in
-  let inject_result =
+  let inject =
     match inject_plan with
     | None -> Ok None
     | Some s ->
@@ -485,38 +409,45 @@ let main files model_name verbose jobs metrics report schemes journal resume
           (fun p -> Some (Core.Inject.create p))
           (Core.Inject.plan_of_string s)
   in
-  match (generate, report) with
-  | Some n, _ -> (
-      match inject_result with
-      | Error msg ->
-          Format.eprintf "%s@." msg;
-          2
-      | Ok inject ->
-          if metrics then Obs.Metrics.enable ();
-          run_generate ~n ~seed ~shard ~schemes ~report_dir:report ~journal
-            ~resume ~jobs ~metrics ~task_timeout ~task_retries ~inject)
-  | None, Some dir -> (
+  let run_report = run_report ~metrics ~task_timeout ~task_retries in
+  match (generate, report, inject) with
+  | None, None, _ ->
+      if files = [] then begin
+        Format.eprintf
+          "no litmus files given (or use --report DIR / --generate N)@.";
+        2
+      end
+      else check_files files model_name verbose jobs metrics
+  | _, _, Error msg ->
+      Format.eprintf "%s@." msg;
+      2
+  | Some n, report, Ok inject ->
+      (* A generated report always journals, so rerunning the same
+         command resumes it. *)
+      run_generate ~n ~seed ~schemes ~jobs
+        (Option.map
+           (fun dir pool entries ->
+             run_report ~inject ~generated:true ~shard_size:shard ?pool
+               ~journal:
+                 (Option.value journal
+                    ~default:(Filename.concat dir "journal"))
+               dir entries)
+           report)
+  | None, Some dir, Ok inject -> (
       let journal =
         match (journal, resume) with
         | Some j, _ -> Some j
         | None, true -> Some (Filename.concat dir "journal")
         | None, false -> None
       in
-      match inject_result with
-      | Error msg ->
-          Format.eprintf "%s@." msg;
-          2
-      | Ok inject ->
-          if metrics then Obs.Metrics.enable ();
-          run_report dir schemes metrics ~journal ~task_timeout ~task_retries
-            ~inject)
-  | None, None ->
-      if files = [] then begin
-        Format.eprintf
-          "no litmus files given (or use --report DIR / --generate N)@.";
-        2
-      end
-      else main files model_name verbose jobs metrics
+      match
+        List.filter
+          (fun (e : Report.Sweep.entry) ->
+            schemes = [] || List.mem e.Report.Sweep.scheme schemes)
+          (Report.Sweep.default_entries ())
+      with
+      | [] -> no_scheme_matches schemes
+      | entries -> run_report ~inject ~generated:false ?journal dir entries)
 
 let cmd =
   Cmd.v

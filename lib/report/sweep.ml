@@ -68,47 +68,6 @@ let default_entries () =
     raw_fmr;
   ]
 
-let run ?(capture = false) ?coverage ?max_witnesses entries =
-  List.concat_map
-    (fun e ->
-      List.map
-        (fun (program, src) ->
-          let tgt = e.f src in
-          let report =
-            Mapping.Check.refines ~src_model:e.src_model
-              ~tgt_model:e.tgt_model ~src ~tgt
-          in
-          let report =
-            {
-              report with
-              Mapping.Check.name = Printf.sprintf "%s: %s" e.scheme program;
-            }
-          in
-          (* The verdict above comes from the untouched default path;
-             the probes below are additive and opt-in. *)
-          (match coverage with
-          | None -> ()
-          | Some cov ->
-              ignore
-                (En.behaviours_probed
-                   ~on_reject:(fun x ->
-                     Coverage.record cov ~scheme:e.scheme ~program
-                       ~model:e.src_model x)
-                   e.src_model src));
-          let witnesses, shrunk =
-            if capture && not report.Mapping.Check.ok then
-              ( Mapping.Witness.capture ?max_witnesses
-                  ~src_model:e.src_model ~tgt_model:e.tgt_model ~src ~tgt
-                  report,
-                Some
-                  (Mapping.Witness.shrink ~scheme:e.f ~src_model:e.src_model
-                     ~tgt_model:e.tgt_model src) )
-            else ([], None)
-          in
-          { scheme = e.scheme; program; report; witnesses; shrunk })
-        e.corpus)
-    entries
-
 let all_ok cells = List.for_all (fun c -> c.report.Mapping.Check.ok) cells
 let failing cells = List.filter (fun c -> not c.report.Mapping.Check.ok) cells
 
@@ -303,39 +262,75 @@ let verdict_of_string ~scheme ~program s =
       in
       (report, deltas)
 
-(* -------- the resumable runner -------- *)
 
-type journaled = {
+(* -------- the runner -------- *)
+
+let cells entries =
+  List.concat_map
+    (fun (e : entry) ->
+      List.map
+        (fun (program, src) ->
+          {
+            Mapping.Check.cell_scheme = e.scheme;
+            cell_program = program;
+            cell_f = e.f;
+            cell_src_model = e.src_model;
+            cell_tgt_model = e.tgt_model;
+            cell_src = src;
+          })
+        e.corpus)
+    entries
+
+type shard_stat = {
+  shard_index : int;  (* 1-based *)
+  shard_cells : int;
+  shard_new_pairs : int;  (* (model, axiom) pairs first seen in this shard *)
+}
+
+type outcome = {
   cells : cell list;
   failures : (string * string * Parallel.Supervise.failure) list;
   replayed : int;
   computed : int;
   recovery : Parallel.Frontier.recovery;
+  shards : shard_stat list;
+  saturated_after : int option;
 }
 
-let run_journaled ?(capture = false) ?coverage ?max_witnesses
-    ?(policy = Parallel.Supervise.default) ?journal_chaos ~journal entries =
-  let fr, recovery = Parallel.Frontier.open_ ?chaos:journal_chaos journal in
+let rec take_split n xs =
+  if n = 0 then ([], xs)
+  else
+    match xs with
+    | [] -> ([], [])
+    | x :: rest ->
+        let h, t = take_split (n - 1) rest in
+        (x :: h, t)
+
+(* One pipeline for every sweep.  Cells are taken in fixed-size shards;
+   within a shard each cell is replayed from the journal or computed,
+   the computed ones as one supervised (optionally pooled) batch, and
+   the shard's verdicts are then journaled and merged in canonical
+   order — the shard is the unit of crash-resumability, the cell stays
+   the unit of verdict identity.  Without a journal nothing replays and
+   nothing is appended, so the plain sweep is the same loop. *)
+let run ?(capture = false) ?coverage ?(policy = Parallel.Supervise.default) ?pool ?(shard_size = 1)
+    ?(probe_targets = false) ?journal ?journal_chaos entries =
+  let fr, recovery =
+    match journal with
+    | None ->
+        (None, { Parallel.Frontier.entries = []; valid = 0; dropped_bytes = 0 })
+    | Some path ->
+        let fr, recovery = Parallel.Frontier.open_ ?chaos:journal_chaos path in
+        (Some fr, recovery)
+  in
+  Fun.protect ~finally:(fun () -> Option.iter Parallel.Frontier.close fr)
+  @@ fun () ->
   (* Last record wins, as checkpoint compaction would decide. *)
-  let verdicts = Hashtbl.create 64 in
+  let verdicts = Hashtbl.create 1024 in
   List.iter
     (fun (k, v) -> Hashtbl.replace verdicts k v)
     recovery.Parallel.Frontier.entries;
-  let replayed = ref 0 and computed = ref 0 in
-  let failures = ref [] in
-  let written = ref [] in
-  (* Witness decoration is recomputed on both paths, never journaled:
-     deterministic, so replay stays byte-identical. *)
-  let decorate e src report =
-    if capture && not report.Mapping.Check.ok then
-      ( Mapping.Witness.capture ?max_witnesses ~src_model:e.src_model
-          ~tgt_model:e.tgt_model ~src ~tgt:(e.f src) report,
-        Some
-          (Mapping.Witness.shrink ~scheme:e.f ~src_model:e.src_model
-             ~tgt_model:e.tgt_model src) )
-    else ([], None)
-  in
-  let compute e program src () =
+  let compute ((e : entry), program, src) =
     let tgt = e.f src in
     let report =
       Mapping.Check.refines ~src_model:e.src_model ~tgt_model:e.tgt_model ~src
@@ -347,107 +342,173 @@ let run_journaled ?(capture = false) ?coverage ?max_witnesses
         Mapping.Check.name = Printf.sprintf "%s: %s" e.scheme program;
       }
     in
+    (* The verdict above comes from the untouched default path; the
+       coverage probe is additive.  It records quietly into a scratch
+       table per attempt, so a retried attempt re-probes from zero and
+       only the committing attempt's delta is merged — exactly-once
+       accounting under retry and replay.  Generated programs are where
+       the target models' axioms get exercised: [probe_targets]
+       classifies the target side's rejected candidates too. *)
     let deltas =
       match coverage with
       | None -> []
       | Some _ ->
-          (* Quiet scratch per attempt: a retried attempt re-probes from
-             zero, and only the committing attempt's delta is merged —
-             exactly-once accounting under retry. *)
           let scratch = Coverage.create () in
-          ignore
-            (En.behaviours_probed
-               ~on_reject:(fun x ->
-                 Coverage.record ~quiet:true scratch ~scheme:e.scheme ~program
-                   ~model:e.src_model x)
-               e.src_model src);
+          let probe model p =
+            ignore
+              (En.behaviours_probed
+                 ~on_reject:(fun x ->
+                   Coverage.record ~quiet:true scratch ~scheme:e.scheme
+                     ~program ~model x)
+                 model p)
+          in
+          probe e.src_model src;
+          if probe_targets then probe e.tgt_model tgt;
           Coverage.counts scratch
     in
     (report, deltas)
   in
-  let merge_deltas deltas =
-    match coverage with
-    | None -> ()
-    | Some cov -> List.iter (fun (k, n) -> Coverage.add cov k n) deltas
+  (* Witness decoration is recomputed on both paths, never journaled:
+     deterministic, so replay stays byte-identical. *)
+  let decorate (e : entry) src report =
+    if capture && not report.Mapping.Check.ok then
+      ( Mapping.Witness.capture ~src_model:e.src_model ~tgt_model:e.tgt_model
+          ~src ~tgt:(e.f src) report,
+        Some
+          (Mapping.Witness.shrink ~scheme:e.f ~src_model:e.src_model
+             ~tgt_model:e.tgt_model src) )
+    else ([], None)
   in
-  let cells =
-    List.concat_map
-      (fun (e : entry) ->
-        List.filter_map
-          (fun (program, src) ->
-            let key = cell_key e.scheme program in
-            let replay =
-              match Hashtbl.find_opt verdicts key with
-              | None -> None
-              | Some v -> (
-                  match verdict_of_string ~scheme:e.scheme ~program v with
-                  | report, deltas -> Some (report, deltas, v)
-                  | exception Bad_record _ ->
-                      (* A record the CRC accepted but the codec cannot
-                         read (e.g. written by an older build): drop it
-                         and recompute the cell. *)
-                      None)
-            in
-            match replay with
-            | Some (report, deltas, v) ->
-                incr replayed;
-                merge_deltas deltas;
-                written := (key, v) :: !written;
-                let witnesses, shrunk = decorate e src report in
-                Some { scheme = e.scheme; program; report; witnesses; shrunk }
-            | None -> (
-                match
-                  Parallel.Supervise.run policy (compute e program src)
-                with
-                | Ok (report, deltas) ->
-                    incr computed;
-                    (* Journal before merging: if the append tears (chaos
-                       or crash), the cell is simply recomputed on
-                       resume — verdicts are never lost, never doubled. *)
-                    Parallel.Frontier.append fr ~key
-                      ~value:(verdict_to_string report deltas);
-                    merge_deltas deltas;
-                    written :=
-                      (key, verdict_to_string report deltas) :: !written;
-                    let witnesses, shrunk = decorate e src report in
-                    Some
-                      { scheme = e.scheme; program; report; witnesses; shrunk }
-                | Error failure ->
-                    (* No journal record: a resumed run retries the
-                       cell, so a transient environment converges to the
-                       fault-free verdict table. *)
-                    failures := (e.scheme, program, failure) :: !failures;
-                    None))
-          e.corpus)
-      entries
+  let replayed = ref 0 and computed = ref 0 in
+  let failures = ref [] and written = ref [] in
+  let seen_pairs = Hashtbl.create 64 in
+  let run_shard idx shard =
+    let prepared =
+      List.map
+        (fun (((e : entry), program, _) as c) ->
+          let key = cell_key e.scheme program in
+          match Hashtbl.find_opt verdicts key with
+          | None -> (c, key, None)
+          | Some v -> (
+              match verdict_of_string ~scheme:e.scheme ~program v with
+              | rd -> (c, key, Some (rd, v))
+              | exception Bad_record _ ->
+                  (* A record the CRC accepted but the codec cannot read
+                     (e.g. written by an older build): recompute it. *)
+                  (c, key, None)))
+        shard
+    in
+    let results =
+      Queue.of_seq
+        (List.to_seq
+           (Parallel.Supervise.map ?pool policy compute
+              (List.filter_map
+                 (fun (c, _, replay) ->
+                   if Option.is_none replay then Some c else None)
+                 prepared)))
+    in
+    let new_pairs = ref 0 in
+    let commit ((e : entry), program, src) key (report, deltas) value =
+      written := (key, value) :: !written;
+      Option.iter
+        (fun cov ->
+          List.iter
+            (fun ((k : Coverage.key), n) ->
+              Coverage.add cov k n;
+              let pair = (k.Coverage.model, k.Coverage.axiom) in
+              if not (Hashtbl.mem seen_pairs pair) then begin
+                Hashtbl.add seen_pairs pair ();
+                incr new_pairs
+              end)
+            deltas)
+        coverage;
+      let witnesses, shrunk = decorate e src report in
+      Some { scheme = e.scheme; program; report; witnesses; shrunk }
+    in
+    let cells =
+      List.filter_map
+        (fun (((e : entry), program, _) as c, key, replay) ->
+          match replay with
+          | Some (rd, v) ->
+              incr replayed;
+              commit c key rd v
+          | None -> (
+              match Queue.pop results with
+              | Ok ((report, deltas) as rd) ->
+                  incr computed;
+                  (* Journal before merging: if the append tears (chaos
+                     or crash), the cell is simply recomputed on resume
+                     — verdicts are never lost, never doubled. *)
+                  let value =
+                    match fr with
+                    | None -> ""
+                    | Some fr ->
+                        let value = verdict_to_string report deltas in
+                        Parallel.Frontier.append fr ~key ~value;
+                        value
+                  in
+                  commit c key rd value
+              | Error failure ->
+                  (* No journal record: a resumed run retries the cell,
+                     so a transient environment converges to the
+                     fault-free verdict table. *)
+                  failures := (e.scheme, program, failure) :: !failures;
+                  None))
+        prepared
+    in
+    ( cells,
+      {
+        shard_index = idx;
+        shard_cells = List.length shard;
+        shard_new_pairs = !new_pairs;
+      } )
+  in
+  let rec shard_loop idx acc = function
+    | [] -> List.rev acc
+    | rest ->
+        let shard, rest = take_split (max 1 shard_size) rest in
+        shard_loop (idx + 1) (run_shard idx shard :: acc) rest
+  in
+  let per_shard =
+    shard_loop 1 []
+      (List.concat_map
+         (fun (e : entry) ->
+           List.map (fun (program, src) -> (e, program, src)) e.corpus)
+         entries)
   in
   (* Compact: one record per cell, canonical sweep order — a journal
      grown across many interrupted runs shrinks back to its minimum. *)
-  Parallel.Frontier.checkpoint fr (List.rev !written);
-  Parallel.Frontier.close fr;
+  Option.iter
+    (fun fr -> Parallel.Frontier.checkpoint fr (List.rev !written))
+    fr;
+  let shards = List.map snd per_shard in
+  let saturated_after =
+    match coverage with
+    | None -> None
+    | Some _ ->
+        let last_new =
+          List.fold_left
+            (fun acc s -> if s.shard_new_pairs > 0 then s.shard_index else acc)
+            0 shards
+        in
+        if last_new < List.length shards then Some last_new else None
+  in
   {
-    cells;
+    cells = List.concat_map fst per_shard;
     failures = List.rev !failures;
     replayed = !replayed;
     computed = !computed;
     recovery;
+    shards;
+    saturated_after;
   }
 
 (* ------------------------------------------------------------------ *)
-(* Generated corpora: sharded, pool-aware, saturation-tracking.
-
-   A generated sweep is the journaled sweep scaled up: 10⁴ programs
-   dedup into a few thousand shape classes checked under a handful of
-   schemes.  Cells are processed in fixed-size shards; within a shard,
-   missing cells run as one supervised pool batch (the batch planner's
-   chunk scheduling and shared enumeration apply), and the shard's
-   verdicts are journaled afterwards in deterministic order — the shard
-   is the unit of crash-resumability, the cell remains the unit of
-   verdict identity.  Per shard, the runner tracks how many previously
-   unseen (model, axiom) coverage pairs the shard's cells discovered;
-   when late shards stop contributing new pairs, the generated corpus
-   has saturated the discriminating-axiom coverage the matrix can
-   report. *)
+(* Generated corpora: 10⁴ programs dedup into a few thousand shape
+   classes checked under a handful of schemes, swept by [run] in large
+   shards.  When late shards stop contributing new (model, axiom)
+   coverage pairs, the corpus has saturated the discriminating-axiom
+   coverage the matrix can report. *)
 
 let default_generated_schemes =
   [ "fig7a/x86->tcg"; "risotto-rmw2/arm-orig"; "risotto-rmw2/arm-fix" ]
@@ -466,217 +527,3 @@ let generated_entries ?config ?(schemes = default_generated_schemes) ~seed n =
       (default_entries ())
   in
   (c, entries)
-
-type shard_stat = {
-  shard_index : int;  (* 1-based *)
-  shard_cells : int;
-  shard_new_pairs : int;  (* (model, axiom) pairs first seen in this shard *)
-}
-
-type generated = {
-  gen_journaled : journaled;
-  gen_shards : shard_stat list;
-  gen_saturated_after : int option;
-      (* [Some s]: no shard after the [s]th discovered a new
-         (model, axiom) pair.  [None]: still discovering in the final
-         shard (or no coverage requested). *)
-}
-
-let rec take_split n xs =
-  if n = 0 then ([], xs)
-  else
-    match xs with
-    | [] -> ([], [])
-    | x :: rest ->
-        let h, t = take_split (n - 1) rest in
-        (x :: h, t)
-
-let run_generated ?(capture = false) ?coverage ?max_witnesses
-    ?(policy = Parallel.Supervise.default) ?pool ?(shard_size = 256)
-    ?(probe_targets = false) ~journal entries =
-  let fr, recovery = Parallel.Frontier.open_ journal in
-  let verdicts = Hashtbl.create 1024 in
-  List.iter
-    (fun (k, v) -> Hashtbl.replace verdicts k v)
-    recovery.Parallel.Frontier.entries;
-  let replayed = ref 0 and computed = ref 0 in
-  let failures = ref [] and written = ref [] in
-  let decorate (e : entry) src report =
-    if capture && not report.Mapping.Check.ok then
-      ( Mapping.Witness.capture ?max_witnesses ~src_model:e.src_model
-          ~tgt_model:e.tgt_model ~src ~tgt:(e.f src) report,
-        Some
-          (Mapping.Witness.shrink ~scheme:e.f ~src_model:e.src_model
-             ~tgt_model:e.tgt_model src) )
-    else ([], None)
-  in
-  let compute ((e : entry), program, src) =
-    let tgt = e.f src in
-    let report =
-      Mapping.Check.refines ~src_model:e.src_model ~tgt_model:e.tgt_model ~src
-        ~tgt
-    in
-    let report =
-      {
-        report with
-        Mapping.Check.name = Printf.sprintf "%s: %s" e.scheme program;
-      }
-    in
-    let deltas =
-      match coverage with
-      | None -> []
-      | Some _ ->
-          let scratch = Coverage.create () in
-          ignore
-            (En.behaviours_probed
-               ~on_reject:(fun x ->
-                 Coverage.record ~quiet:true scratch ~scheme:e.scheme ~program
-                   ~model:e.src_model x)
-               e.src_model src);
-          (* Generated programs are where the target models' axioms get
-             exercised: optionally classify the target side's rejected
-             candidates too. *)
-          if probe_targets then
-            ignore
-              (En.behaviours_probed
-                 ~on_reject:(fun x ->
-                   Coverage.record ~quiet:true scratch ~scheme:e.scheme
-                     ~program ~model:e.tgt_model x)
-                 e.tgt_model tgt);
-          Coverage.counts scratch
-    in
-    (report, deltas)
-  in
-  let merge_deltas deltas =
-    match coverage with
-    | None -> ()
-    | Some cov -> List.iter (fun (k, n) -> Coverage.add cov k n) deltas
-  in
-  let seen_pairs = Hashtbl.create 64 in
-  let flat =
-    List.concat_map
-      (fun (e : entry) ->
-        List.map (fun (program, src) -> (e, program, src)) e.corpus)
-      entries
-  in
-  let rec shard_loop idx cells_acc stats_acc rest =
-    match rest with
-    | [] -> (List.concat (List.rev cells_acc), List.rev stats_acc)
-    | _ ->
-        let shard, rest = take_split shard_size rest in
-        (* Classify the shard's cells: replayable from the journal, or
-           missing and due for the (pooled) compute batch. *)
-        let prepared =
-          List.map
-            (fun (((e : entry), program, _src) as c) ->
-              let key = cell_key e.scheme program in
-              match Hashtbl.find_opt verdicts key with
-              | Some v -> (
-                  match verdict_of_string ~scheme:e.scheme ~program v with
-                  | rd -> `Replay (c, key, rd, v)
-                  | exception Bad_record _ -> `Compute (c, key))
-              | None -> `Compute (c, key))
-            shard
-        in
-        let to_compute =
-          List.filter_map
-            (function `Compute (c, key) -> Some (c, key) | `Replay _ -> None)
-            prepared
-        in
-        let rtbl = Hashtbl.create 64 in
-        (match to_compute with
-        | [] -> ()
-        | _ ->
-            let results =
-              Parallel.Supervise.map ?pool policy
-                (fun (c, _key) -> compute c)
-                to_compute
-            in
-            List.iter2
-              (fun (_, key) r -> Hashtbl.replace rtbl key r)
-              to_compute results);
-        let new_pairs = ref 0 in
-        let note_deltas deltas =
-          List.iter
-            (fun ((k : Coverage.key), _) ->
-              let pair = (k.Coverage.model, k.Coverage.axiom) in
-              if not (Hashtbl.mem seen_pairs pair) then begin
-                Hashtbl.add seen_pairs pair ();
-                incr new_pairs
-              end)
-            deltas
-        in
-        let cells =
-          List.filter_map
-            (function
-              | `Replay (((e : entry), program, src), key, (report, deltas), v)
-                ->
-                  incr replayed;
-                  merge_deltas deltas;
-                  note_deltas deltas;
-                  written := (key, v) :: !written;
-                  let witnesses, shrunk = decorate e src report in
-                  Some
-                    { scheme = e.scheme; program; report; witnesses; shrunk }
-              | `Compute (((e : entry), program, src), key) -> (
-                  match Hashtbl.find rtbl key with
-                  | Ok (report, deltas) ->
-                      incr computed;
-                      (* Journal in deterministic shard order, after the
-                         batch: the shard is the resume granule. *)
-                      Parallel.Frontier.append fr ~key
-                        ~value:(verdict_to_string report deltas);
-                      merge_deltas deltas;
-                      note_deltas deltas;
-                      written :=
-                        (key, verdict_to_string report deltas) :: !written;
-                      let witnesses, shrunk = decorate e src report in
-                      Some
-                        {
-                          scheme = e.scheme;
-                          program;
-                          report;
-                          witnesses;
-                          shrunk;
-                        }
-                  | Error failure ->
-                      failures := (e.scheme, program, failure) :: !failures;
-                      None))
-            prepared
-        in
-        let stat =
-          {
-            shard_index = idx;
-            shard_cells = List.length shard;
-            shard_new_pairs = !new_pairs;
-          }
-        in
-        shard_loop (idx + 1) (cells :: cells_acc) (stat :: stats_acc) rest
-  in
-  let cells, shard_stats = shard_loop 1 [] [] flat in
-  Parallel.Frontier.checkpoint fr (List.rev !written);
-  Parallel.Frontier.close fr;
-  let nshards = List.length shard_stats in
-  let saturated_after =
-    match coverage with
-    | None -> None
-    | Some _ ->
-        let last_new =
-          List.fold_left
-            (fun acc s -> if s.shard_new_pairs > 0 then s.shard_index else acc)
-            0 shard_stats
-        in
-        if last_new < nshards then Some last_new else None
-  in
-  {
-    gen_journaled =
-      {
-        cells;
-        failures = List.rev !failures;
-        replayed = !replayed;
-        computed = !computed;
-        recovery;
-      };
-    gen_shards = shard_stats;
-    gen_saturated_after = saturated_after;
-  }

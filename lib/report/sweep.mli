@@ -4,9 +4,9 @@
     accounting.
 
     Verdicts always come from the unmodified {!Mapping.Check.refines}
-    path; witness capture and the coverage probe are additive passes
-    that run only when asked for, so a plain [run] is observationally
-    the bench sweep. *)
+    path; witness capture, the coverage probe and the journal are
+    additive and run only when asked for, so a plain [run] is
+    observationally the bench's per-cell sweep. *)
 
 type entry = {
   scheme : string;
@@ -33,29 +33,23 @@ type cell = {
     arm-orig direct/casal schemes; FMR under transform-raw. *)
 val default_entries : unit -> entry list
 
-(** [run ~capture ~coverage entries]: check every (scheme, program)
-    cell.  With [capture] (default false), failing cells carry witnesses
-    ({!Mapping.Witness.capture}, at most [max_witnesses] each) and a
-    shrunk counterexample.  With [coverage], every source-program
-    candidate rejected by the source model is accounted via
-    {!Coverage.record}. *)
-val run :
-  ?capture:bool ->
-  ?coverage:Coverage.t ->
-  ?max_witnesses:int ->
-  entry list ->
-  cell list
-
 val all_ok : cell list -> bool
 val failing : cell list -> cell list
 
-(** {1 Journaled (resumable) sweeps} *)
+(** The {!Mapping.Check.cell}s of every (scheme, program) pair, in
+    canonical (entries × corpus) order — the batch planner's input. *)
+val cells : entry list -> Mapping.Check.cell list
 
-(** Journal key of a (scheme, program) cell: the two joined by a unit
-    separator (0x1F), which neither side contains. *)
-val cell_key : string -> string -> string
+(** {1 The sweep runner} *)
 
-type journaled = {
+type shard_stat = {
+  shard_index : int;  (** 1-based *)
+  shard_cells : int;
+  shard_new_pairs : int;
+      (** (model, axiom) coverage pairs first seen in this shard *)
+}
+
+type outcome = {
   cells : cell list;  (** canonical (entries × corpus) order *)
   failures : (string * string * Parallel.Supervise.failure) list;
       (** (scheme, program, failure) of cells that timed out or were
@@ -63,43 +57,57 @@ type journaled = {
   replayed : int;  (** cells restored from the journal *)
   computed : int;  (** cells computed (and journaled) this run *)
   recovery : Parallel.Frontier.recovery;
-      (** what opening the journal recovered (torn-tail statistics) *)
+      (** what opening the journal recovered (torn-tail statistics);
+          empty without a journal *)
+  shards : shard_stat list;
+  saturated_after : int option;
+      (** [Some s]: no shard after the [s]th discovered a new
+          (model, axiom) pair — the corpus saturated the
+          discriminating-axiom coverage.  [None]: still discovering in
+          the final shard, or no coverage requested. *)
 }
 
-(** [run_journaled ~journal entries] is {!run} with crash-safety: every
-    completed cell appends a CRC-guarded verdict record (verdict +
-    coverage deltas) to the {!Parallel.Frontier} journal at [journal],
-    and cells already journaled by an earlier interrupted run are
-    replayed instead of recomputed — verdict rebuilt, coverage deltas
-    merged via {!Coverage.add}, witnesses re-derived deterministically —
-    so the resumed result (and an HTML report rendered from it) is
-    byte-identical to an uninterrupted run's.  Each computed cell runs
-    under [policy] ({!Parallel.Supervise}): timeouts and quarantined
-    cells surface in [failures], are left out of the journal, and are
-    retried by the next resume.  [journal_chaos] is the
-    [journal-write] chaos site hook ({!Parallel.Frontier.open_}); a
-    firing hook tears the append and raises
-    {!Parallel.Frontier.Injected_fault}, simulating a crash.  The
-    journal is checkpoint-compacted to canonical order on successful
-    completion. *)
-val run_journaled :
+(** [run entries] checks every (scheme, program) cell with
+    {!Mapping.Check.refines}.  Cells are taken in shards of
+    [shard_size] (default 1); a shard's cells not already journaled run
+    as one batch under [policy] via {!Parallel.Supervise.map} (on
+    [pool] if given), so timeouts and quarantined cells surface in
+    [failures] instead of aborting the sweep.
+
+    - [capture] (default false): failing cells carry witnesses
+      ({!Mapping.Witness.capture}) and a shrunk counterexample,
+      recomputed on replay.
+    - [coverage]: every source-program candidate rejected by the source
+      model is accounted via {!Coverage}, exactly once per committed
+      cell; with [probe_targets] the target side's rejected candidates
+      under the target model too.
+    - [journal]: crash safety.  Every computed cell appends a
+      CRC-guarded verdict record (verdict + coverage deltas) to the
+      {!Parallel.Frontier} journal in shard order; cells already
+      journaled by an earlier interrupted run are replayed instead of
+      recomputed, so the resumed result (and an HTML report rendered
+      from it) is byte-identical to an uninterrupted run's.  The journal
+      is checkpoint-compacted to canonical order on completion.
+      [journal_chaos] is the [journal-write] chaos site hook
+      ({!Parallel.Frontier.open_}); a firing hook tears the append and
+      raises {!Parallel.Frontier.Injected_fault}, simulating a crash. *)
+val run :
   ?capture:bool ->
   ?coverage:Coverage.t ->
-  ?max_witnesses:int ->
   ?policy:Parallel.Supervise.policy ->
+  ?pool:Parallel.Pool.t ->
+  ?shard_size:int ->
+  ?probe_targets:bool ->
+  ?journal:string ->
   ?journal_chaos:(unit -> bool) ->
-  journal:string ->
   entry list ->
-  journaled
+  outcome
 
 (** {1 Generated corpora}
 
-    The journaled sweep scaled to 10⁴+ QCheck-generated programs
-    ({!Litmus.Generate}), deduped into shape classes and processed in
-    fixed-size shards: within a shard, missing cells run as one
-    supervised pool batch, and the shard's verdicts are journaled
-    afterwards in deterministic order — the shard is the unit of
-    crash-resumability, the cell stays the unit of verdict identity. *)
+    {!run} scaled to 10⁴+ QCheck-generated programs
+    ({!Litmus.Generate}), deduped into shape classes and swept in large
+    shards. *)
 
 (** The schemes a generated sweep checks by default: the paper's
     verified x86→TCG frontend mapping and the corrected RMW lowering
@@ -118,43 +126,6 @@ val generated_entries :
   seed:int ->
   int ->
   Litmus.Generate.corpus * entry list
-
-type shard_stat = {
-  shard_index : int;  (** 1-based *)
-  shard_cells : int;
-  shard_new_pairs : int;
-      (** (model, axiom) coverage pairs first seen in this shard *)
-}
-
-type generated = {
-  gen_journaled : journaled;
-  gen_shards : shard_stat list;
-  gen_saturated_after : int option;
-      (** [Some s]: no shard after the [s]th discovered a new
-          (model, axiom) pair — the corpus saturated the
-          discriminating-axiom coverage.  [None]: still discovering in
-          the final shard, or no coverage requested. *)
-}
-
-(** [run_generated ~journal entries] — see the section comment.  With
-    [?pool], each shard's missing cells are one pool batch (supervised
-    via {!Parallel.Supervise.map}); verdicts are identical to the
-    sequential path.  [probe_targets] additionally classifies the
-    {e target}-side rejected candidates under the target model in the
-    coverage accounting (that is where the ARM/TCG axioms get
-    exercised).  Resumes from [journal] exactly like
-    {!run_journaled}. *)
-val run_generated :
-  ?capture:bool ->
-  ?coverage:Coverage.t ->
-  ?max_witnesses:int ->
-  ?policy:Parallel.Supervise.policy ->
-  ?pool:Parallel.Pool.t ->
-  ?shard_size:int ->
-  ?probe_targets:bool ->
-  journal:string ->
-  entry list ->
-  generated
 
 val json_of_behaviour : Litmus.Enumerate.behaviour -> Json.t
 val json_of_execution : Axiom.Execution.t -> Json.t

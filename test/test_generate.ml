@@ -180,36 +180,78 @@ let test_resume_parity () =
   let _, entries = Sweep.generated_entries ~seed:11 120 in
   En.clear_caches ();
   let reference =
-    Sweep.run_generated ~shard_size:32 ~journal:j1 entries
+    Sweep.run ~shard_size:32 ~journal:j1 entries
   in
   (* Interrupted run: only the first scheme's cells complete... *)
   let partial_entries = [ List.hd entries ] in
   let _ =
-    Sweep.run_generated ~shard_size:32 ~journal:j2 partial_entries
+    Sweep.run ~shard_size:32 ~journal:j2 partial_entries
   in
   (* ...then the resumed run replays them and computes the rest. *)
   En.clear_caches ();
-  let resumed = Sweep.run_generated ~shard_size:32 ~journal:j2 entries in
-  let cells_of (g : Sweep.generated) =
+  let resumed = Sweep.run ~shard_size:32 ~journal:j2 entries in
+  let cells_of (g : Sweep.outcome) =
     List.map
       (fun (c : Sweep.cell) ->
         (c.scheme, c.program, c.report.Check.ok,
          c.report.Check.src_behaviours, c.report.Check.tgt_behaviours))
-      g.gen_journaled.cells
+      g.cells
   in
   Alcotest.(check int)
     "resumed run replayed the journaled prefix"
     (List.length (List.hd entries).corpus)
-    resumed.gen_journaled.replayed;
+    resumed.replayed;
   Alcotest.(check bool)
     "cell-for-cell parity with the uninterrupted run" true
     (cells_of reference = cells_of resumed);
   (* And a second resume replays everything, computing nothing. *)
-  let again = Sweep.run_generated ~shard_size:32 ~journal:j2 entries in
-  Alcotest.(check int) "nothing left to compute" 0 again.gen_journaled.computed;
+  let again = Sweep.run ~shard_size:32 ~journal:j2 entries in
+  Alcotest.(check int) "nothing left to compute" 0 again.computed;
   Alcotest.(check bool)
     "fully replayed run still identical" true
     (cells_of reference = cells_of again)
+
+(* -------- injected journal tear in a sharded sweep -------- *)
+
+let test_sharded_journal_tear () =
+  let dir = tmpdir "risotto-gentear" in
+  let j = Filename.concat dir "tear.journal" in
+  (try Sys.remove j with Sys_error _ -> ());
+  let _, entries = Sweep.generated_entries ~seed:11 120 in
+  let sigs (g : Sweep.outcome) =
+    List.map
+      (fun (c : Sweep.cell) ->
+        (c.scheme, c.program, c.report.Check.ok, c.report.Check.extra))
+      g.cells
+  in
+  let reference = Sweep.run entries in
+  (* The hook fires on the third append, inside the first shard. *)
+  let appends = ref 0 in
+  let journal_chaos () =
+    incr appends;
+    !appends = 3
+  in
+  (match Sweep.run ~shard_size:16 ~journal:j ~journal_chaos entries with
+  | _ -> Alcotest.fail "a torn journal append must stop the sweep"
+  | exception Parallel.Frontier.Injected_fault _ -> ());
+  Alcotest.(check int) "hook polled up to the tearing append" 3 !appends;
+  let resumed = Sweep.run ~shard_size:16 ~journal:j entries in
+  Alcotest.(check int) "the two landed appends replay" 2 resumed.replayed;
+  Alcotest.(check int)
+    "every other cell computed"
+    (List.length reference.cells - 2)
+    resumed.computed;
+  Alcotest.(check bool)
+    "resumed cells equal the reference" true
+    (sigs resumed = sigs reference);
+  let keys =
+    List.map fst (Parallel.Frontier.recover_file j).Parallel.Frontier.entries
+  in
+  Alcotest.(check int)
+    "journal keys complete" (List.length reference.cells) (List.length keys);
+  Alcotest.(check int)
+    "journal keys unique" (List.length keys)
+    (List.length (List.sort_uniq compare keys))
 
 (* -------- coverage saturation accounting -------- *)
 
@@ -220,19 +262,19 @@ let test_saturation () =
   let _, entries = Sweep.generated_entries ~seed:19 150 in
   let cov = Report.Coverage.create () in
   let g =
-    Sweep.run_generated ~coverage:cov ~probe_targets:true ~shard_size:25
+    Sweep.run ~coverage:cov ~probe_targets:true ~shard_size:25
       ~journal:j entries
   in
   let total_cells =
     List.fold_left (fun a (s : Sweep.shard_stat) -> a + s.shard_cells) 0
-      g.gen_shards
+      g.shards
   in
   Alcotest.(check int)
     "shard stats cover every cell" total_cells
-    (List.length g.gen_journaled.cells);
+    (List.length g.cells);
   let total_new =
     List.fold_left (fun a (s : Sweep.shard_stat) -> a + s.shard_new_pairs) 0
-      g.gen_shards
+      g.shards
   in
   let distinct_pairs =
     List.sort_uniq compare
@@ -245,10 +287,10 @@ let test_saturation () =
     (List.length distinct_pairs) total_new;
   (* A corpus this size saturates the handful of discriminating axioms
      long before the last shard. *)
-  (match g.gen_saturated_after with
+  (match g.saturated_after with
   | Some s ->
       Alcotest.(check bool) "saturation shard within range" true
-        (s >= 0 && s < List.length g.gen_shards)
+        (s >= 0 && s < List.length g.shards)
   | None -> Alcotest.fail "expected saturation on a 150-program corpus")
 
 (* -------- pool vs sequential identity on a 500-program batch -------- *)
@@ -349,6 +391,8 @@ let () =
             test_resume_parity;
           Alcotest.test_case "coverage saturation accounting" `Quick
             test_saturation;
+          Alcotest.test_case "sharded journal tear resumes" `Quick
+            test_sharded_journal_tear;
         ] );
       ( "pool",
         [

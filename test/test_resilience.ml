@@ -456,14 +456,14 @@ let cell_sig (c : Sweep.cell) =
 
 let test_journaled_parity_and_resume () =
   let entries = small_entries () in
-  let plain = Sweep.run ~capture:true entries in
+  let plain = (Sweep.run ~capture:true entries).Sweep.cells in
   with_tmp ".jnl" @@ fun journal ->
-  let r1 = Sweep.run_journaled ~capture:true ~journal entries in
+  let r1 = Sweep.run ~capture:true ~journal entries in
   check_int "all computed" (List.length plain) r1.Sweep.computed;
   check_int "nothing replayed" 0 r1.Sweep.replayed;
   check_bool "journaled == plain (opt-in parity)" true
     (List.map cell_sig r1.Sweep.cells = List.map cell_sig plain);
-  let r2 = Sweep.run_journaled ~capture:true ~journal entries in
+  let r2 = Sweep.run ~capture:true ~journal entries in
   check_int "all replayed" (List.length plain) r2.Sweep.replayed;
   check_int "nothing recomputed" 0 r2.Sweep.computed;
   check_bool "resume == plain (verdicts, extras, witnesses)" true
@@ -475,9 +475,9 @@ let test_journaled_coverage_replay () =
   ignore (Sweep.run ~coverage:cov_plain entries);
   with_tmp ".jnl" @@ fun journal ->
   let cov1 = Report.Coverage.create () in
-  ignore (Sweep.run_journaled ~coverage:cov1 ~journal entries);
+  ignore (Sweep.run ~coverage:cov1 ~journal entries);
   let cov2 = Report.Coverage.create () in
-  ignore (Sweep.run_journaled ~coverage:cov2 ~journal entries);
+  ignore (Sweep.run ~coverage:cov2 ~journal entries);
   let strip = List.map (fun (k, n) -> (k, n)) in
   check_bool "journaled coverage == plain" true
     (strip (Report.Coverage.counts cov1)
